@@ -15,6 +15,10 @@
 // pays before serving again. Results land in BENCH_recovery.json; the replay-throughput
 // floor is enforced only on full-scale unsanitized runs (gate_enforced records which).
 //
+// Part 2 also records the process's peak RSS right after the 10^7-record replay: the
+// durable journal lives once, on the simulated device, so the retained journal is paid for
+// once in memory.
+//
 // Part 3 measures what incremental checkpointing (DESIGN.md §14) buys: a long-history /
 // small-live-state workload (256 object streams trimmed to their last 32 records) swept over
 // history length × checkpoint interval. Without checkpoints, time-to-recover grows with the
@@ -28,7 +32,10 @@
 #include <cstdio>
 #include <deque>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench/bench_common.h"
 #include "src/common/check.h"
@@ -116,7 +123,14 @@ struct RecoveryAtScale {
   double replay_records_per_s = 0.0;
   double journal_mb = 0.0;
   double write_amplification = 0.0;
+  double peak_rss_mb = 0.0;  // Process high-water mark once the replay finished.
 };
+
+double PeakRssMb() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB on Linux.
+}
 
 double WallSeconds(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - since).count();
@@ -172,6 +186,7 @@ RecoveryAtScale RunRecoveryAtScale(int64_t records) {
 
   HM_CHECK_MSG(log.live_records() == live_before, "replay lost records");
   HM_CHECK_MSG(log.next_seqnum() == next_before, "replay moved the seqnum allocator");
+  result.peak_rss_mb = PeakRssMb();
   return result;
 }
 
@@ -193,6 +208,7 @@ RecoveryAtScale RunRecoveryAtScaleSection() {
   std::printf("  populate:           %.2f s wall\n", r.populate_seconds);
   std::printf("  time-to-recover:    %.3f s wall (%.0f records/s replayed)\n",
               r.replay_seconds, r.replay_records_per_s);
+  std::printf("  peak RSS:           %.1f MB\n", r.peak_rss_mb);
 
   // The replay-throughput floor is a hard gate only where it is meaningful: full-scale
   // (smoke scales amortize nothing) and uninstrumented builds. The measured numbers are
@@ -377,13 +393,15 @@ void RunCheckpointSweepSection(const RecoveryAtScale& part2) {
                "{\"bench\": \"recovery_at_scale\", \"records\": %lld,\n"
                " \"journal_mb\": %.1f, \"write_amplification\": %.3f,\n"
                " \"populate_seconds\": %.3f, \"replay_seconds\": %.3f,\n"
-               " \"replay_records_per_s\": %.0f,\n"
+               " \"replay_records_per_s\": %.0f, \"peak_rss_mb\": %.1f,\n"
                " \"gate\": {\"replay_records_per_s_floor\": 1000000, \"gate_enforced\": %s},\n"
+               " \"hardware\": {\"hardware_threads\": %u, \"compiler\": \"%s\"},\n"
                " \"checkpoint\": {\n"
                "  \"sweep\": [\n",
                static_cast<long long>(part2.records), part2.journal_mb,
                part2.write_amplification, part2.populate_seconds, part2.replay_seconds,
-               part2.replay_records_per_s, gate_enforced ? "true" : "false");
+               part2.replay_records_per_s, part2.peak_rss_mb, gate_enforced ? "true" : "false",
+               std::thread::hardware_concurrency(), __VERSION__);
   for (size_t i = 0; i < runs.size(); ++i) {
     const CheckpointRun& r = runs[i];
     std::fprintf(json,

@@ -16,10 +16,10 @@ std::optional<Value> KvState::Get(const std::string& key) const {
 
 void KvState::Put(SimTime now, const std::string& key, Value value) {
   if (durability_ != nullptr && !restoring_) {
-    std::string payload;
-    storage::PutStr(&payload, key);
-    storage::PutStr(&payload, value);
-    JournalFrame(storage::FrameType::kKvPut, std::move(payload));
+    payload_.clear();
+    storage::PutStr(&payload_, key);
+    storage::PutStr(&payload_, value);
+    JournalFrame(storage::FrameType::kKvPut);
   }
   auto [it, inserted] = latest_.try_emplace(key);
   if (!inserted) {
@@ -36,12 +36,12 @@ bool KvState::CondPut(SimTime now, const std::string& key, Value value, VersionT
   if (!(stored < version)) return false;
   // Only applied conditional writes are journaled, so replay re-applies them verbatim.
   if (durability_ != nullptr && !restoring_) {
-    std::string payload;
-    storage::PutStr(&payload, key);
-    storage::PutStr(&payload, value);
-    storage::PutU64(&payload, version.cursor_ts);
-    storage::PutU64(&payload, version.counter);
-    JournalFrame(storage::FrameType::kKvCondPut, std::move(payload));
+    payload_.clear();
+    storage::PutStr(&payload_, key);
+    storage::PutStr(&payload_, value);
+    storage::PutU64(&payload_, version.cursor_ts);
+    storage::PutU64(&payload_, version.counter);
+    JournalFrame(storage::FrameType::kKvCondPut);
   }
   if (it == latest_.end()) {
     gauge_.Add(now, LatestEntryBytes(key, value));
@@ -64,11 +64,11 @@ std::optional<VersionTuple> KvState::GetVersion(const std::string& key) const {
 void KvState::PutVersioned(SimTime now, ObjectId object, const std::string& version_id,
                            Value value) {
   if (durability_ != nullptr && !restoring_) {
-    std::string payload;
-    storage::PutU64(&payload, object);
-    storage::PutStr(&payload, version_id);
-    storage::PutStr(&payload, value);
-    JournalFrame(storage::FrameType::kKvPutVersioned, std::move(payload));
+    payload_.clear();
+    storage::PutU64(&payload_, object);
+    storage::PutStr(&payload_, version_id);
+    storage::PutStr(&payload_, value);
+    JournalFrame(storage::FrameType::kKvPutVersioned);
   }
   if (object >= versioned_.size()) versioned_.resize(object + 1);
   auto& versions = versioned_[object];
@@ -99,10 +99,10 @@ bool KvState::DeleteVersioned(SimTime now, ObjectId object, const std::string& v
   if (vit == versions.end()) return false;
   // Journaled only when something is actually released (replay asserts the same).
   if (durability_ != nullptr && !restoring_) {
-    std::string payload;
-    storage::PutU64(&payload, object);
-    storage::PutStr(&payload, version_id);
-    JournalFrame(storage::FrameType::kKvDeleteVersioned, std::move(payload));
+    payload_.clear();
+    storage::PutU64(&payload_, object);
+    storage::PutStr(&payload_, version_id);
+    JournalFrame(storage::FrameType::kKvDeleteVersioned);
   }
   gauge_.Add(now, -VersionedEntryBytes(version_id, vit->second));
   versions.erase(vit);
@@ -117,6 +117,7 @@ size_t KvState::VersionCount(ObjectId object) const {
 void KvState::ResetVolatile(SimTime now) {
   gauge_.Add(now, -gauge_.CurrentBytes());
   latest_.clear();
+  ++latest_generation_;  // Invalidates the node pointers an in-flight walk holds.
   versioned_.clear();
   versioned_objects_ = 0;
   // The journal tail rolled back to the durable frontier with the kill; future mutations
@@ -167,10 +168,11 @@ void KvState::RestoreFrame(SimTime now, storage::FrameType type, storage::Cursor
 }
 
 void KvState::BeginCheckpointWalk() {
-  walk_keys_.clear();
-  walk_keys_.reserve(latest_.size());
-  for (const auto& [key, slot] : latest_) walk_keys_.push_back(key);
-  walk_key_idx_ = 0;
+  walk_slots_.clear();
+  walk_slots_.reserve(latest_.size());
+  for (const auto& entry : latest_) walk_slots_.push_back(&entry);
+  walk_generation_ = latest_generation_;
+  walk_slot_idx_ = 0;
   walk_object_ = 0;
   walk_object_limit_ = versioned_.size();
   walk_version_.clear();
@@ -180,20 +182,21 @@ void KvState::BeginCheckpointWalk() {
 bool KvState::WriteCheckpointSlice(storage::CheckpointStore* store, int64_t budget,
                                    int64_t* frames) {
   int64_t consumed = 0;
-  // Latest slots first. The key list was snapshotted at round start (keys are never deleted,
-  // and the values/versions read here are whatever the slot holds NOW — fuzziness the replay
-  // suffix absorbs).
-  while (walk_key_idx_ < walk_keys_.size()) {
+  // Latest slots first. The slots were snapshotted at round start as map-node pointers, which
+  // survive rehashing; only ResetVolatile erases keys, and it bumps the generation. The values
+  // and versions read here are whatever the slot holds NOW — fuzziness the replay suffix
+  // absorbs.
+  HM_CHECK_MSG(walk_slot_idx_ == walk_slots_.size() || walk_generation_ == latest_generation_,
+               "checkpoint walk: latest slot vanished");
+  while (walk_slot_idx_ < walk_slots_.size()) {
     if (consumed >= budget) return false;
-    const std::string& key = walk_keys_[walk_key_idx_++];
-    auto it = latest_.find(key);
-    HM_CHECK_MSG(it != latest_.end(), "checkpoint walk: latest slot vanished");
-    std::string payload;
-    storage::PutStr(&payload, key);
-    storage::PutStr(&payload, it->second.value);
-    storage::PutU64(&payload, it->second.version.cursor_ts);
-    storage::PutU64(&payload, it->second.version.counter);
-    store->AppendFrame(storage::FrameType::kCkptKvLatest, payload);
+    const auto& [key, slot] = *walk_slots_[walk_slot_idx_++];
+    payload_.clear();
+    storage::PutStr(&payload_, key);
+    storage::PutStr(&payload_, slot.value);
+    storage::PutU64(&payload_, slot.version.cursor_ts);
+    storage::PutU64(&payload_, slot.version.counter);
+    store->AppendFrame(storage::FrameType::kCkptKvLatest, payload_);
     ++*frames;
     ++consumed;
   }
@@ -209,11 +212,11 @@ bool KvState::WriteCheckpointSlice(storage::CheckpointStore* store, int64_t budg
         walk_version_valid_ = true;
         return false;
       }
-      std::string payload;
-      storage::PutU64(&payload, static_cast<uint64_t>(walk_object_));
-      storage::PutStr(&payload, it->first);
-      storage::PutStr(&payload, it->second);
-      store->AppendFrame(storage::FrameType::kCkptKvVersion, payload);
+      payload_.clear();
+      storage::PutU64(&payload_, static_cast<uint64_t>(walk_object_));
+      storage::PutStr(&payload_, it->first);
+      storage::PutStr(&payload_, it->second);
+      store->AppendFrame(storage::FrameType::kCkptKvVersion, payload_);
       ++*frames;
       ++consumed;
       walk_version_ = it->first;
@@ -258,8 +261,8 @@ void KvState::RestoreCheckpointFrame(SimTime now, storage::FrameType type,
   }
 }
 
-void KvState::JournalFrame(storage::FrameType type, std::string payload) {
-  last_journal_offset_ = durability_->AppendFrame(type, payload);
+void KvState::JournalFrame(storage::FrameType type) {
+  last_journal_offset_ = durability_->AppendFrame(type, payload_);
 }
 
 }  // namespace halfmoon::kvstore

@@ -19,6 +19,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/time.h"
@@ -109,8 +110,9 @@ class KvState {
                     bool fuzzy = false);
 
   // ---- Incremental checkpointing (DESIGN.md §14) ----
-  // The walk snapshots the key list (latest slots) and the versioned-object bound at round
-  // start, then emits one frame per latest slot / stored version across bounded slices.
+  // The walk snapshots the latest slots (as map-node pointers) and the versioned-object bound
+  // at round start, then emits one frame per latest slot / stored version across bounded
+  // slices.
   // Keys and versions written after round start are covered by the replay suffix either way,
   // so the fuzzy image + suffix composition is exact.
   void BeginCheckpointWalk();
@@ -134,9 +136,12 @@ class KvState {
     return static_cast<int64_t>(sizeof(ObjectId) + version_id.size() + value.size());
   }
 
-  void JournalFrame(storage::FrameType type, std::string payload);
+  // Journals `payload_` as one `type` frame.
+  void JournalFrame(storage::FrameType type);
 
   std::unordered_map<std::string, LatestSlot> latest_;
+  uint64_t latest_generation_ = 0;  // Bumped whenever latest_ loses keys (ResetVolatile).
+  std::string payload_;  // Reused encode buffer for journal and image frame payloads.
   // object -> version_id -> value, indexed by ObjectId. Interned tag ids are dense, so the
   // outer level is a flat vector (grown on first write to an object) instead of a hash map:
   // a versioned access costs one bounds-checked index, no hashing at either level's outer
@@ -150,8 +155,10 @@ class KvState {
   bool restoring_ = false;  // Suppresses journaling while RestoreFrame re-applies mutations.
 
   // Checkpoint-walk cursor (valid between BeginCheckpointWalk and the slice returning true).
-  std::vector<std::string> walk_keys_;  // Latest-slot keys snapshotted at round start.
-  size_t walk_key_idx_ = 0;
+  // Latest slots snapshotted at round start; valid while walk_generation_ is current.
+  std::vector<const std::pair<const std::string, LatestSlot>*> walk_slots_;
+  uint64_t walk_generation_ = 0;
+  size_t walk_slot_idx_ = 0;
   size_t walk_object_ = 0;        // Next versioned object to (re)visit.
   size_t walk_object_limit_ = 0;  // versioned_.size() at round start.
   std::string walk_version_;      // Last version emitted of walk_object_ (resume point).

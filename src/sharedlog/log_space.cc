@@ -105,8 +105,9 @@ LogRecordPtr LogSpace::InstallRecord(SimTime now, SeqNum seqnum, std::vector<Tag
   return record;
 }
 
-std::string LogSpace::EncodeRecordPayload(const LogRecord& record) {
-  std::string payload;
+const std::string& LogSpace::EncodeRecordPayload(const LogRecord& record) {
+  std::string& payload = shared_->payload;
+  payload.clear();
   storage::PutU64(&payload, record.seqnum);
   storage::PutU32(&payload, static_cast<uint32_t>(record.tags.size()));
   for (TagId tag : record.tags) storage::PutU64(&payload, tag);
@@ -196,28 +197,29 @@ void LogSpace::RestoreTrimLocal(SimTime now, TagId tag, SeqNum upto, size_t base
   }
 }
 
-size_t LogSpace::CheckpointTag(TagId tag, storage::CheckpointStore* store,
-                               std::unordered_set<SeqNum>* emitted_bodies,
-                               int64_t* frames) const {
+size_t LogSpace::CheckpointTag(TagId tag, storage::CheckpointStore* store, int64_t* frames) {
   const TagStream* stream = FindStream(tag);
   if (stream == nullptr || stream->length() == 0) return 0;
   size_t consumed = 1;
-  std::string payload;
-  storage::PutU64(&payload, tag);
-  storage::PutU64(&payload, stream->base);
-  storage::PutU32(&payload, static_cast<uint32_t>(stream->seqnums.size()));
+  // Emit each referenced body once per round, before the first stream that references it.
   for (SeqNum seqnum : stream->seqnums) {
-    // Emit each referenced body once per round, before the first stream that references it.
-    if (emitted_bodies->insert(seqnum).second) {
-      LogRecordPtr record = LookupLive(seqnum);
-      HM_CHECK_MSG(record != nullptr, "checkpoint walk: stream references a dead record");
-      store->AppendFrame(storage::FrameType::kCkptRecord, EncodeRecordPayload(*record));
+    LogSpace* owner = SeqOwner(seqnum);
+    auto it = owner->records_.find(seqnum);
+    HM_CHECK_MSG(it != owner->records_.end(), "checkpoint walk: stream references a dead record");
+    if (it->second.checkpoint_round != shared_->checkpoint_round) {
+      it->second.checkpoint_round = shared_->checkpoint_round;
+      store->AppendFrame(storage::FrameType::kCkptRecord, EncodeRecordPayload(*it->second.record));
       ++*frames;
       ++consumed;
     }
-    storage::PutU64(&payload, seqnum);
-    ++consumed;
   }
+  std::string& payload = shared_->payload;
+  payload.clear();
+  storage::PutU64(&payload, tag);
+  storage::PutU64(&payload, stream->base);
+  storage::PutU32(&payload, static_cast<uint32_t>(stream->seqnums.size()));
+  for (SeqNum seqnum : stream->seqnums) storage::PutU64(&payload, seqnum);
+  consumed += stream->seqnums.size();
   store->AppendFrame(storage::FrameType::kCkptTagStream, payload);
   ++*frames;
   return consumed;

@@ -40,7 +40,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/time.h"
@@ -73,6 +72,10 @@ class LogSpace {
     // default) journals nothing and draws no extra latency samples — bit-identical to the
     // pre-storage simulation.
     storage::DurabilityService* durability = nullptr;
+    // Checkpoint walk (DESIGN.md §14): the current round's stamp (bumped per round, never 0)
+    // and the reused encode buffer for record and stream payloads.
+    uint32_t checkpoint_round = 0;
+    std::string payload;
   };
 
   // Standalone single-shard log (the historic constructor; bit-identical behaviour).
@@ -273,14 +276,14 @@ class LogSpace {
 
   // ---- Incremental checkpointing (DESIGN.md §14) ----
   // Emits the image frames of THIS shard's `tag` sub-stream into the checkpoint store: first
-  // a kCkptRecord body for every referenced record not yet emitted this round (dedup via
-  // `emitted_bodies` — records are multi-tag, bodies are written once), then one
-  // kCkptTagStream frame with the stream's base and live seqnums. Fully-trimmed streams
-  // (empty deque, base > 0) are emitted too: their base carries the logical offsets
-  // logCondAppend depends on. Returns the walk-budget items consumed (0 when the tag has no
-  // stream here); increments *frames per frame appended.
-  size_t CheckpointTag(TagId tag, storage::CheckpointStore* store,
-                       std::unordered_set<SeqNum>* emitted_bodies, int64_t* frames) const;
+  // a kCkptRecord body for every referenced record not yet emitted this round (records are
+  // multi-tag, bodies are written once: each record carries the stamp of the last round that
+  // emitted it, compared against Shared::checkpoint_round), then one kCkptTagStream frame
+  // with the stream's base and live seqnums. Fully-trimmed streams (empty deque, base > 0)
+  // are emitted too: their base carries the logical offsets logCondAppend depends on.
+  // Returns the walk-budget items consumed (0 when the tag has no stream here); increments
+  // *frames per frame appended.
+  size_t CheckpointTag(TagId tag, storage::CheckpointStore* store, int64_t* frames);
 
   // Image-restore installers. A body installs with zero live-tag refs (streams re-reference
   // it as they restore); a stream sets its base, pushes its seqnums and takes one ref per
@@ -342,6 +345,9 @@ class LogSpace {
     LogRecordPtr record;
     // Number of tags that still reference this record (not yet trimmed past it).
     int live_tag_refs = 0;
+    // Checkpoint round that last emitted this body (0 = never); fills the padding after
+    // live_tag_refs, so the stamp costs no record memory.
+    uint32_t checkpoint_round = 0;
   };
 
   void PreinternWellKnown();
@@ -383,8 +389,9 @@ class LogSpace {
   // which is exactly what differs between a live append and a journal replay.
   LogRecordPtr InstallRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
                              FieldMap fields);
-  // The kRecord / kCkptRecord payload (they share one encoding): seqnum, tags, fields.
-  static std::string EncodeRecordPayload(const LogRecord& record);
+  // Encodes the kRecord / kCkptRecord payload (they share one encoding: seqnum, tags, fields)
+  // into the reused Shared::payload buffer.
+  const std::string& EncodeRecordPayload(const LogRecord& record);
   // Builds the immutable record object (op interned) without installing it anywhere.
   LogRecordPtr MakeRecord(SeqNum seqnum, std::vector<TagId> tags, FieldMap fields);
   void JournalRecord(const LogRecord& record);

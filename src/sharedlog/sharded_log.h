@@ -23,7 +23,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -182,7 +181,9 @@ class ShardedLog {
   // either way the image + suffix composition is exact.
   void BeginCheckpointWalk() {
     walk_next_tag_ = 0;
-    walk_emitted_.clear();
+    // A fresh stamp marks every record body as not yet emitted this round. 0 means "never
+    // emitted", so a wrapped counter skips it.
+    if (++shared_.checkpoint_round == 0) ++shared_.checkpoint_round;
   }
   // Emits roughly `budget` items' worth of image frames; returns true once every tag has
   // been walked. *frames counts frames appended by this slice.
@@ -191,8 +192,8 @@ class ShardedLog {
     while (walk_next_tag_ < shared_.tags.size()) {
       if (consumed >= budget) return false;
       TagId tag = walk_next_tag_++;
-      const LogSpace& owner = *shards_[shared_.tags.ShardOf(tag)];
-      consumed += static_cast<int64_t>(owner.CheckpointTag(tag, store, &walk_emitted_, frames));
+      LogSpace& owner = *shards_[shared_.tags.ShardOf(tag)];
+      consumed += static_cast<int64_t>(owner.CheckpointTag(tag, store, frames));
     }
     return true;
   }
@@ -226,7 +227,6 @@ class ShardedLog {
 
   // Checkpoint-walk cursor (valid between BeginCheckpointWalk and the slice returning true).
   TagId walk_next_tag_ = 0;
-  std::unordered_set<SeqNum> walk_emitted_;
 };
 
 }  // namespace halfmoon::sharedlog

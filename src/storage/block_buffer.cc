@@ -6,37 +6,19 @@
 
 namespace halfmoon::storage {
 
-uint64_t BlockBuffer::Append(std::string_view bytes) {
-  uint64_t offset = tail();
-  data_.append(bytes);
-  return offset;
-}
-
 void BlockBuffer::FlushTo(uint64_t upto) {
   upto = std::min<uint64_t>(upto, tail());
-  if (upto <= durable_) return;
-  uint64_t start = std::max((durable_ / kBlockSize) * kBlockSize, base_);
-  device_->WriteBlocks(start, std::string_view(data_).substr(start - base_, upto - start));
-  durable_ = upto;
-}
-
-void BlockBuffer::DropVolatile() {
-  HM_CHECK(durable_ <= tail());
-  data_.resize(durable_ - base_);
+  if (upto <= durable()) return;
+  uint64_t n = upto - durable();
+  device_->Append(std::string_view(volatile_).substr(0, n));
+  volatile_.erase(0, n);
 }
 
 uint64_t BlockBuffer::TruncatePrefix(uint64_t offset) {
-  HM_CHECK_MSG(offset <= durable_, "prefix truncation into the volatile tail");
+  HM_CHECK_MSG(offset <= durable(), "prefix truncation into the volatile tail");
   if (offset <= retained_) return 0;
   retained_ = offset;
-  uint64_t freed = device_->TruncatePrefix(offset);
-  uint64_t new_base = device_->base();
-  if (new_base > base_) {
-    data_.erase(0, new_base - base_);
-    data_.shrink_to_fit();
-    base_ = new_base;
-  }
-  return freed;
+  return device_->TruncatePrefix(offset);
 }
 
 }  // namespace halfmoon::storage

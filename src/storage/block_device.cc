@@ -1,19 +1,14 @@
 #include "src/storage/block_device.h"
 
-#include <cstring>
-
 #include "src/common/check.h"
 
 namespace halfmoon::storage {
 
-void BlockDevice::WriteBlocks(uint64_t offset, std::string_view data) {
-  HM_CHECK_MSG(offset % kBlockSize == 0, "unaligned block write");
-  HM_CHECK_MSG(offset >= base_, "block write below the truncated base");
+void BlockDevice::Append(std::string_view data) {
   if (data.empty()) return;
-  uint64_t end = offset + data.size();
-  if (end > size()) data_.resize(end - base_);
-  std::memcpy(data_.data() + (offset - base_), data.data(), data.size());
-  int64_t blocks = static_cast<int64_t>((data.size() + kBlockSize - 1) / kBlockSize);
+  uint64_t start = (size() / kBlockSize) * kBlockSize;
+  data_.append(data);
+  int64_t blocks = static_cast<int64_t>((size() - start + kBlockSize - 1) / kBlockSize);
   stats_.block_writes += blocks;
   stats_.bytes_written += blocks * static_cast<int64_t>(kBlockSize);
 }
@@ -34,6 +29,11 @@ uint64_t BlockDevice::TruncatePrefix(uint64_t offset) {
   base_ = aligned;
   stats_.bytes_dropped += static_cast<int64_t>(freed);
   return freed;
+}
+
+void BlockDevice::CorruptByteForTest(uint64_t offset) {
+  HM_CHECK(offset >= base_ && offset < size());
+  data_[offset - base_] = static_cast<char>(data_[offset - base_] ^ 0xff);
 }
 
 }  // namespace halfmoon::storage

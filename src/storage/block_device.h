@@ -28,10 +28,9 @@ class BlockDevice {
     int64_t bytes_dropped = 0;  // Device bytes released by prefix truncation.
   };
 
-  // Overwrites device contents starting at `offset` (must be block-aligned and at or past the
-  // truncated base) with `data`, growing the device as needed. Whole blocks are paid for even
-  // when `data` ends mid-block.
-  void WriteBlocks(uint64_t offset, std::string_view data);
+  // Appends `data` at the device end. Every block the write touches is paid for in full,
+  // including the partial tail block it extends (rewritten from its start).
+  void Append(std::string_view data);
 
   // Reads back durable bytes; the range must lie within the retained part of the device.
   std::string_view Read(uint64_t offset, uint64_t n) const;
@@ -40,6 +39,9 @@ class BlockDevice {
   // Logical offsets above the new base are unaffected; reads below it become errors. Returns
   // the number of device bytes actually freed.
   uint64_t TruncatePrefix(uint64_t offset);
+
+  // Flips one retained byte in place — a latent media error, not a write (nothing is paid).
+  void CorruptByteForTest(uint64_t offset);
 
   uint64_t size() const { return base_ + data_.size(); }
   // First retained logical offset (block-aligned; 0 until the first truncation).

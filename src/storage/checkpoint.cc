@@ -34,15 +34,6 @@ bool WalkFrames(const BlockBuffer& buffer, uint64_t from, uint64_t upto,
 
 }  // namespace
 
-void CheckpointStore::CorruptDurableByteForTest(uint64_t offset) {
-  HM_CHECK(offset >= device_.base() && offset < buffer_.durable());
-  uint64_t block = (offset / kBlockSize) * kBlockSize;
-  uint64_t n = std::min(kBlockSize, buffer_.durable() - block);
-  std::string contents(device_.Read(block, n));
-  contents[offset - block] = static_cast<char>(contents[offset - block] ^ 0xff);
-  device_.WriteBlocks(block, contents);
-}
-
 std::string EncodeManifest(const CheckpointManifest& m) {
   std::string payload;
   PutU8(&payload, m.domain);
@@ -68,7 +59,13 @@ CheckpointManifest DecodeManifest(Cursor cursor) {
 uint64_t ChecksumImage(const CheckpointStore& store, uint64_t from, uint64_t upto) {
   std::string_view bytes = store.buffer().ReadDurable(from, upto - from);
   uint64_t h = kFnvOffset;
-  for (char c : bytes) h = (h ^ static_cast<uint8_t>(c)) * kFnvPrime;
+  size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) {
+    uint64_t word = 0;  // Little-endian load; the byte loop compiles to one 8-byte read.
+    for (size_t b = 0; b < 8; ++b) word |= uint64_t{static_cast<uint8_t>(bytes[i + b])} << (8 * b);
+    h = (h ^ word) * kFnvPrime;
+  }
+  for (; i < bytes.size(); ++i) h = (h ^ static_cast<uint8_t>(bytes[i])) * kFnvPrime;
   return h;
 }
 
@@ -223,8 +220,9 @@ sim::Task<bool> CheckpointService::CheckpointTarget(Target* t, uint64_t epoch) {
   m.frame_count = static_cast<uint64_t>(frame_count);
   m.checksum = ChecksumImage(*t->store, image_start, image_end);
   m.watermark_floor = t->watermark_floor();
-  HM_CHECK(EncodeManifest(m).size() == kManifestPayloadBytes);
-  t->store->AppendFrame(FrameType::kCkptManifest, EncodeManifest(m));
+  std::string manifest = EncodeManifest(m);
+  HM_CHECK(manifest.size() == kManifestPayloadBytes);
+  t->store->AppendFrame(FrameType::kCkptManifest, manifest);
   t->store->Flush();
   ++stats_.manifests_written;
   if (Probe("ckpt.install")) co_return false;  // Manifest durable; truncation never ran.

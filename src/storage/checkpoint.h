@@ -68,7 +68,7 @@ class CheckpointStore {
 
   // Flips one durable byte in place (a simulated latent media error) so tests can prove
   // recovery detects a corrupt image and falls back.
-  void CorruptDurableByteForTest(uint64_t offset);
+  void CorruptDurableByteForTest(uint64_t offset) { device_.CorruptByteForTest(offset); }
 
  private:
   BlockDevice device_;
@@ -84,7 +84,7 @@ struct CheckpointManifest {
   uint64_t cut = 0;
   uint64_t image_start = 0;     // Store offset of the image's first frame.
   uint64_t frame_count = 0;     // State frames between image_start and this manifest.
-  uint64_t checksum = 0;        // FNV-1a over the store bytes [image_start, manifest frame).
+  uint64_t checksum = 0;        // ChecksumImage over [image_start, manifest frame).
   uint64_t watermark_floor = 0;
 };
 
@@ -97,7 +97,9 @@ struct InstalledManifest {
   uint64_t image_end = 0;
 };
 
-// FNV-1a over the store's durable bytes [from, upto) — the image checksum.
+// The image checksum over the store's durable bytes [from, upto): FNV-1a taken over 64-bit
+// little-endian words, then bytewise over the < 8-byte tail. Every step is a bijection in
+// both the state and the input word, so any single corrupted word changes the result.
 uint64_t ChecksumImage(const CheckpointStore& store, uint64_t from, uint64_t upto);
 
 // Scans the store's durable frames for the NEWEST manifest of `domain` whose image region is

@@ -42,14 +42,17 @@ enum class FrameType : uint8_t {
 
 inline constexpr uint64_t kFrameHeaderBytes = 5;  // u32 len + u8 type.
 
-// Little-endian primitive writers.
+// Little-endian primitive writers. Each word is assembled in registers and appended whole
+// (the byte loop compiles to one store).
 inline void PutU8(std::string* out, uint8_t v) { out->push_back(static_cast<char>(v)); }
-inline void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+template <typename Word>
+inline void PutWord(std::string* out, Word v) {
+  char bytes[sizeof(Word)];
+  for (size_t i = 0; i < sizeof(Word); ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+  out->append(bytes, sizeof(Word));
 }
-inline void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
+inline void PutU32(std::string* out, uint32_t v) { PutWord(out, v); }
+inline void PutU64(std::string* out, uint64_t v) { PutWord(out, v); }
 inline void PutStr(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);

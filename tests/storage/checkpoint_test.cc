@@ -103,6 +103,61 @@ TEST(CheckpointStoreTest, CorruptNewestImageFallsBackToThePrevious) {
   EXPECT_EQ(rejected, 1);
 }
 
+TEST(CheckpointStoreTest, EverySingleByteFlipIsRejectedAtEveryTailLength) {
+  // The checksum runs over 64-bit words and falls back to bytes for the < 8-byte tail. Image
+  // regions of 0 and 5..17 bytes (no frame, or one frame with a 0..12-byte payload) cover
+  // every region length mod 8, so every tail length and every byte position within a word.
+  for (uint64_t len = 0; len <= 17; ++len) {
+    if (len > 0 && len < kFrameHeaderBytes) continue;  // No whole frame is that short.
+    SCOPED_TRACE("image length " + std::to_string(len));
+    CheckpointStore store;
+    CheckpointManifest m;
+    m.domain = kCkptLogDomain;
+    m.image_start = store.tail();
+    if (len > 0) {
+      std::string payload;
+      for (uint64_t i = 0; i < len - kFrameHeaderBytes; ++i) {
+        payload.push_back(static_cast<char>(0x11 * (i + 1)));
+      }
+      store.AppendFrame(FrameType::kCkptRecord, payload);
+      m.frame_count = 1;
+    }
+    store.Flush();
+    ASSERT_EQ(store.tail() - m.image_start, len);
+    m.checksum = ChecksumImage(store, m.image_start, store.tail());
+    store.AppendFrame(FrameType::kCkptManifest, EncodeManifest(m));
+    store.Flush();
+
+    InstalledManifest found;
+    ASSERT_TRUE(FindLatestValidManifest(store, kCkptLogDomain, &found));
+    for (uint64_t off = m.image_start; off < m.image_start + len; ++off) {
+      store.CorruptDurableByteForTest(off);
+      EXPECT_FALSE(FindLatestValidManifest(store, kCkptLogDomain, &found)) << "offset " << off;
+      store.CorruptDurableByteForTest(off);  // Flip back: the image validates again.
+      EXPECT_TRUE(FindLatestValidManifest(store, kCkptLogDomain, &found)) << "offset " << off;
+    }
+  }
+}
+
+TEST(CheckpointStoreTest, ChecksumSeesEverySingleByteFlipOfShortRanges) {
+  // Ranges of 1..17 bytes at every start phase within a word, including the 1..4-byte ranges
+  // no whole image can have: every single-byte flip changes the checksum.
+  CheckpointStore store;
+  store.AppendFrame(FrameType::kCkptRecord, std::string(32, 'r'));
+  store.Flush();
+  for (uint64_t from = 0; from < 8; ++from) {
+    for (uint64_t len = 1; len <= 17; ++len) {
+      uint64_t clean = ChecksumImage(store, from, from + len);
+      for (uint64_t off = from; off < from + len; ++off) {
+        store.CorruptDurableByteForTest(off);
+        EXPECT_NE(ChecksumImage(store, from, from + len), clean)
+            << "range [" << from << ", " << from + len << ") flip at " << off;
+        store.CorruptDurableByteForTest(off);
+      }
+    }
+  }
+}
+
 TEST(CheckpointStoreTest, UnflushedManifestDiesWithTheVolatileTail) {
   CheckpointStore store;
   CheckpointManifest m;

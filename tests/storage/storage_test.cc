@@ -22,15 +22,25 @@ namespace {
 
 TEST(BlockDeviceTest, PaysWholeBlocksForPartialWrites) {
   BlockDevice device;
-  device.WriteBlocks(0, "hello");
+  device.Append("hello");
   EXPECT_EQ(device.stats().block_writes, 1);
   EXPECT_EQ(device.stats().bytes_written, static_cast<int64_t>(kBlockSize));
   EXPECT_EQ(device.Read(0, 5), "hello");
 
-  // A write spanning two blocks pays for two.
+  // A write spanning two blocks pays for two: it rewrites the partial block holding "hello"
+  // and fills the next one.
   std::string big(kBlockSize + 1, 'x');
-  device.WriteBlocks(0, big);
+  device.Append(big);
   EXPECT_EQ(device.stats().block_writes, 3);
+  EXPECT_EQ(device.size(), kBlockSize + 6);
+}
+
+TEST(BlockDeviceTest, CorruptionFlipsOneByteWithoutPayingForAWrite) {
+  BlockDevice device;
+  device.Append("abc");
+  device.CorruptByteForTest(1);
+  EXPECT_EQ(device.Read(0, 3), std::string("a") + static_cast<char>('b' ^ 0xff) + "c");
+  EXPECT_EQ(device.stats().block_writes, 1);
 }
 
 TEST(BlockBufferTest, FlushMovesTheDurableFrontierAndDropKeepsIt) {
@@ -64,6 +74,92 @@ TEST(BlockBufferTest, PartialTailBlockIsRewrittenEachFlush) {
   buffer.FlushTo(8);
   EXPECT_EQ(device.stats().block_writes, 2);
   EXPECT_EQ(buffer.ReadDurable(0, 8), "aaaabbbb");
+}
+
+TEST(BlockBufferTest, FlushBelowTheTailLeavesTheRestVolatile) {
+  BlockDevice device;
+  BlockBuffer buffer(&device);
+  buffer.Append("aaaa");
+  buffer.Append("bbbb");
+  buffer.FlushTo(6);
+  EXPECT_EQ(buffer.durable(), 6u);
+  EXPECT_EQ(buffer.tail(), 8u);
+  EXPECT_EQ(device.size(), 6u);  // Only the flushed bytes reached the device.
+  EXPECT_EQ(buffer.ReadDurable(0, 6), "aaaabb");
+  buffer.FlushTo(2);  // Below the frontier: a no-op that pays nothing.
+  EXPECT_EQ(device.stats().block_writes, 1);
+  buffer.FlushTo(100);  // Clamped to the tail.
+  EXPECT_EQ(buffer.durable(), 8u);
+  EXPECT_EQ(buffer.ReadDurable(4, 4), "bbbb");
+}
+
+TEST(BlockBufferTest, DropAfterAPartialFlushKeepsOnlyTheFlushedPrefix) {
+  BlockDevice device;
+  BlockBuffer buffer(&device);
+  buffer.Append("aaaa");
+  buffer.Append("bbbb");
+  buffer.FlushTo(6);
+  buffer.DropVolatile();
+  EXPECT_EQ(buffer.tail(), 6u);
+  EXPECT_EQ(buffer.durable(), 6u);
+  // Appends resume at the durable frontier.
+  EXPECT_EQ(buffer.Append("cc"), 6u);
+  buffer.FlushTo(buffer.tail());
+  EXPECT_EQ(buffer.ReadDurable(0, 8), "aaaabbcc");
+}
+
+TEST(BlockBufferTest, AppendAndFlushAfterPrefixTruncation) {
+  BlockDevice device;
+  BlockBuffer buffer(&device);
+  std::string first(kBlockSize + 100, 'a');
+  buffer.Append(first);
+  buffer.FlushTo(buffer.tail());
+  // Truncating at a mid-block offset frees only the whole block below it; retained() keeps
+  // the exact offset and the surviving bytes keep their logical offsets.
+  EXPECT_EQ(buffer.TruncatePrefix(kBlockSize + 10), kBlockSize);
+  EXPECT_EQ(buffer.retained(), kBlockSize + 10);
+  EXPECT_EQ(device.base(), kBlockSize);
+  EXPECT_EQ(device.resident_bytes(), 100u);
+  EXPECT_EQ(buffer.TruncatePrefix(kBlockSize), 0u);  // Behind retained(): nothing to free.
+
+  EXPECT_EQ(buffer.Append("tail"), kBlockSize + 100);
+  buffer.FlushTo(buffer.tail());
+  EXPECT_EQ(buffer.durable(), kBlockSize + 104);
+  // Reads at the truncated base and at the retained offset both resolve.
+  EXPECT_EQ(buffer.ReadDurable(kBlockSize, 2), "aa");
+  EXPECT_EQ(buffer.ReadDurable(buffer.retained(), 2), "aa");
+  EXPECT_EQ(buffer.ReadDurable(kBlockSize + 98, 6), "aatail");
+  // 2 blocks for the first flush, 1 for rewriting the partial block the append extended.
+  EXPECT_EQ(device.stats().block_writes, 3);
+}
+
+TEST(BlockBufferTest, ScriptedFlushesPayTheHistoricBlockCounts) {
+  // Every flush pays ceil((upto - floor(durable / B) * B) / B) blocks: the partial block at
+  // the old frontier is rewritten, plus every block the new bytes reach.
+  BlockDevice device;
+  BlockBuffer buffer(&device);
+  struct Step {
+    uint64_t append;
+    uint64_t flush_to;
+    int64_t blocks_after;
+  };
+  const Step steps[] = {
+      {4, 4, 1},                            // PartialTailBlockIsRewrittenEachFlush, first.
+      {4, 8, 2},                            // ... and its second: the tail block again.
+      {kBlockSize - 8, kBlockSize, 3},      // Fills block 0 exactly: rewritten once more.
+      {10, kBlockSize + 10, 4},             // Aligned frontier: only the new block.
+      {3 * kBlockSize, 2 * kBlockSize + 1, 6},  // Partial flush: blocks 1 and 2.
+      {0, 4 * kBlockSize + 10, 9},          // The rest: blocks 2, 3 and 4.
+      {0, 4 * kBlockSize + 10, 9},          // Nothing new: free.
+  };
+  for (const Step& step : steps) {
+    buffer.Append(std::string(step.append, 's'));
+    buffer.FlushTo(step.flush_to);
+    EXPECT_EQ(buffer.durable(), step.flush_to);
+    EXPECT_EQ(device.stats().block_writes, step.blocks_after);
+    EXPECT_EQ(device.stats().bytes_written,
+              step.blocks_after * static_cast<int64_t>(kBlockSize));
+  }
 }
 
 TEST(JournalCodecTest, PrimitivesRoundTrip) {
