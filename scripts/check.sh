@@ -35,15 +35,6 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
   --gtest_brief=1 | grep '^\[shards\]' | tee /dev/stderr | grep -q ' match' \
   || { echo "check.sh: FAIL — shard-equivalence checksums diverged" >&2; exit 1; }
 
-# Parallel-mode smoke: the same seed through the single-threaded scheduler and the
-# per-partition worker threads (conservative engine, DESIGN.md §10) must commit identical
-# per-stream content, and repeated parallel runs must agree bit-for-bit. Any MISMATCH line —
-# or a missing match line — fails the run.
-"${BUILD_DIR}"/tests/parallel_cluster_test \
-  --gtest_filter='ParallelClusterTest.ModesCommitIdenticalContent:ParallelClusterTest.ParallelRunsAreDeterministic' \
-  --gtest_brief=1 | grep '^\[parallel\]' | tee /dev/stderr | grep -q ' match' \
-  || { echo "check.sh: FAIL — parallel-mode checksums diverged" >&2; exit 1; }
-
 # Pipeline smoke: the same seed through the serial (depth 1) and pipelined (depth 2/4/8)
 # group-commit engines must commit identical per-stream content (FNV checksums printed per
 # protocol/workload pair at depth 4). Any MISMATCH line — or a missing match line — fails
@@ -55,12 +46,9 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
 
 # Faultcheck smoke: re-run the schedule-explorer suites standalone so the explored-schedule
 # counts are visible in the log (ctest swallows the stdout of passing tests). Set
-# HM_FAULTCHECK_FULL=1 for the exhaustive depth-2 sweep (see EXPERIMENTS.md). Runs under
-# HM_PARALLEL=1 on purpose: schedule exploration/replay is single-threaded by design
-# (DESIGN.md §10.4), so the sweep must print its notice and produce identical results with
-# the variable set.
-HM_PARALLEL=1 "${BUILD_DIR}"/tests/faultcheck_explorer_test --gtest_brief=1 | grep '^\[faultcheck\]'
-HM_PARALLEL=1 "${BUILD_DIR}"/tests/faultcheck_switch_test --gtest_brief=1 | grep '^\[faultcheck\]'
+# HM_FAULTCHECK_FULL=1 for the exhaustive depth-2 sweep (see EXPERIMENTS.md).
+"${BUILD_DIR}"/tests/faultcheck_explorer_test --gtest_brief=1 | grep '^\[faultcheck\]'
+"${BUILD_DIR}"/tests/faultcheck_switch_test --gtest_brief=1 | grep '^\[faultcheck\]'
 "${BUILD_DIR}"/tests/faultcheck_advisor_test --gtest_brief=1 | grep '^\[faultcheck\]'
 "${BUILD_DIR}"/tests/faultcheck_negative_test --gtest_brief=1 | grep -c '^\[faultcheck\]   FAIL' \
   | sed 's/^/[faultcheck] negative-control failing schedules (expected nonzero): /'
@@ -88,6 +76,18 @@ HM_DURABLE=1 HM_CHECKPOINT=1 "${BUILD_DIR}"/tests/checkpoint_recovery_test \
   || { echo "check.sh: FAIL — checkpointed recovery silently fell back to full replay" >&2; exit 1; }
 HM_DURABLE=1 HM_CHECKPOINT=1 "${BUILD_DIR}"/tests/faultcheck_checkpoint_test --gtest_brief=1 \
   | grep '^\[faultcheck\]' | sed 's/$/ (HM_CHECKPOINT=1)/'
+
+# Incoherent-config smoke: the checkpoint tier needs the journal, so HM_DURABLE=0 with
+# HM_CHECKPOINT=1 must abort at Cluster construction and name both fields — never silently
+# run a cluster without checkpoints.
+if out=$(HM_DURABLE=0 HM_CHECKPOINT=1 "${BUILD_DIR}"/tests/runtime_test \
+    --gtest_filter='ClusterTest.BuildsConfiguredTopology' 2>&1); then
+  echo "check.sh: FAIL — HM_DURABLE=0 HM_CHECKPOINT=1 ran instead of failing" >&2
+  exit 1
+fi
+grep -q 'checkpoint=true requires durable=true' <<<"${out}" \
+  || { echo "check.sh: FAIL — incoherent config did not fail with the config error" >&2; exit 1; }
+echo "[config] HM_DURABLE=0 HM_CHECKPOINT=1 rejected at construction"
 
 # Advisor smoke (DESIGN.md §11): the drift byte gate (advisor strictly below both static
 # protocols), the hysteresis/dwell counters, and the HM_ADVISOR=0 golden content checksum,

@@ -1,6 +1,6 @@
 // Centralized HM_* environment-variable parsing.
 //
-// Runtime knobs (HM_SHARDS, HM_PARALLEL, HM_ADVISOR, HM_FAULTCHECK_FULL, ...) used to
+// Runtime knobs (HM_SHARDS, HM_PIPELINE, HM_ADVISOR, HM_FAULTCHECK_FULL, ...) used to
 // hand-roll getenv+parse at each consumer; these helpers are the single implementation.
 // Header-only and dependency-free so every layer (sim, sharedlog, runtime, core, tests)
 // can include it without cycles — core/env.h, for example, includes runtime/cluster.h,
@@ -52,8 +52,7 @@ inline bool EnvFlag(const char* name) {
 }
 
 // Group-commit knobs (DESIGN.md §7.5, §12). These are the environment defaults that
-// ClusterConfig / ParallelClusterConfig inherit, so benches and CI can sweep the append
-// path without code changes.
+// ClusterConfig inherits, so benches and CI can sweep the append path without code changes.
 
 // HM_PIPELINE: sequencer rounds in flight per node-shard batcher. 1 (the default) is the
 // serial engine, bit-identical to the pre-pipelining implementation.

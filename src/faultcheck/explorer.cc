@@ -59,6 +59,9 @@ Explorer::RunOutcome Explorer::RunSchedule(const Schedule& schedule, bool record
   if (options_.pipeline_depth > 0) ccfg.append_batch_pipeline = options_.pipeline_depth;
   if (options_.durable >= 0) ccfg.durable = options_.durable != 0;
   if (options_.checkpoints) ccfg.checkpoint = true;
+  // The checkpoint tier needs a journal. A checkpoint point armed on the volatile store then
+  // fails at its own guard.
+  if (options_.durable == 0) ccfg.checkpoint = false;
   runtime::Cluster cluster(ccfg);
 
   core::RuntimeConfig rcfg;

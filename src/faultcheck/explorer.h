@@ -58,8 +58,9 @@ struct ExplorerOptions {
   bool advisor_mode = false;
 
   // Durable-cluster override for every cluster the sweep spins up: -1 inherits the
-  // environment default (HM_DURABLE), 0 forces the volatile store, 1 forces the journaled
-  // storage tier (DESIGN.md §13). Node-kill fault points require the durable tier.
+  // environment default (HM_DURABLE), 0 forces the volatile store (and so no checkpoint
+  // tier), 1 forces the journaled storage tier (DESIGN.md §13). Node-kill fault points
+  // require the durable tier.
   int durable = -1;
 
   // Depth-1 node-kill family: kill + restart a whole node at each strided trace position,

@@ -4,13 +4,13 @@
 // the ceil-based nearest-rank definition, so the tail never rounds *down* (p99 of 100 samples
 // is the 100th order statistic, not the 99th).
 //
-// Threading contract (DESIGN.md §10): a recorder is single-owner — it holds no lock, and the
-// const percentile accessors rebuild a mutable cache. In parallel runs each worker thread
-// records into its own recorder, and after the join the main thread folds them with Merge;
-// never share one instance across live threads, not even for reads. The sorted cache is
-// invalidated structurally (it is stale iff its length differs from samples_, and every
-// mutation changes the length), so no mutation path — Record, Merge, Clear, in any order
-// with percentile reads — can serve a stale percentile by forgetting a dirty bit.
+// Ownership contract: a recorder is single-owner — it holds no lock, and the const
+// percentile accessors rebuild a mutable cache. Callers that record from several owners give
+// each its own recorder and fold them with Merge afterwards; never share one instance across
+// live threads, not even for reads. The sorted cache is invalidated structurally (it is
+// stale iff its length differs from samples_, and every mutation changes the length), so no
+// mutation path — Record, Merge, Clear, in any order with percentile reads — can serve a
+// stale percentile by forgetting a dirty bit.
 
 #ifndef HALFMOON_METRICS_LATENCY_RECORDER_H_
 #define HALFMOON_METRICS_LATENCY_RECORDER_H_
@@ -33,11 +33,10 @@ class LatencyRecorder {
     sorted_.clear();
   }
 
-  // Folds another recorder's samples into this one (per-shard / per-node / per-thread
-  // recorders combined for cluster-wide percentiles; the caller must own both, e.g. after
-  // joining the worker threads). Equivalent to replaying other's Record calls: percentiles
-  // afterwards are computed over the union of both sample sets, including after a Percentile
-  // call already built this recorder's sorted cache.
+  // Folds another recorder's samples into this one (per-shard / per-node / per-run recorders
+  // combined for cluster-wide percentiles; the caller must own both). Equivalent to replaying
+  // other's Record calls: percentiles afterwards are computed over the union of both sample
+  // sets, including after a Percentile call already built this recorder's sorted cache.
   void Merge(const LatencyRecorder& other) {
     if (other.samples_.empty()) return;
     // Drop any warm sorted cache up front rather than leaning on the length heuristic alone:

@@ -12,10 +12,9 @@
 // of the estimate within two epoch lengths, which is what lets the advisor track a drifting
 // (diurnal) workload instead of averaging over all history.
 //
-// Threading: a sketch is single-owner, same contract as LatencyRecorder — in parallel mode
-// each worker records into its own per-partition sketch and the results are folded after the
-// threads join via Merge() (counter arrays add elementwise, so a post-join merge equals one
-// sketch having seen the union stream, in any merge order).
+// Ownership: a sketch is single-owner, same contract as LatencyRecorder — separate sketches
+// are folded with Merge() (counter arrays add elementwise, so a merge equals one sketch
+// having seen the union stream, in any merge order).
 
 #ifndef HALFMOON_METRICS_WORKLOAD_SKETCH_H_
 #define HALFMOON_METRICS_WORKLOAD_SKETCH_H_

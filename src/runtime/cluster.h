@@ -39,14 +39,6 @@ namespace halfmoon::runtime {
 
 // Default shard count for the shared log: the HM_SHARDS environment variable (so CI can run
 // the whole tier-1 suite sharded), 1 otherwise.
-//
-// Note on HM_PARALLEL (DESIGN.md §10): the full-protocol Cluster always runs on ONE
-// single-threaded scheduler regardless of that variable — protocol execution shares state
-// synchronously across components (tag interning, completion bookkeeping, cross-shard
-// reads), which is what keeps faultcheck schedules replayable. HM_PARALLEL selects worker
-// threads only in runtime::ParallelCluster, the shard-parallel log layer (see
-// parallel_cluster.h); with it unset or 0 every code path in the repo is bit-identical to
-// the pre-parallel implementation.
 inline int DefaultLogShards() { return EnvInt("HM_SHARDS", 1, 1); }
 
 struct ClusterConfig {
@@ -110,10 +102,9 @@ struct ClusterConfig {
   bool durable = DefaultDurableMode();
 
   // Incremental checkpointing + journal compaction (DESIGN.md §14), from HM_CHECKPOINT by
-  // default. Effective only with `durable` (there is no journal to compact otherwise); the
-  // combination durable=0 + checkpoint=1 silently runs without the checkpoint tier. When
-  // clear, no checkpoint service or store is ever constructed — bit-identical to the PR 9
-  // durable engine.
+  // default. Requires `durable` (there is no journal to compact otherwise): the Cluster
+  // constructor rejects durable=0 + checkpoint=1. When clear, no checkpoint service or store
+  // is ever constructed — bit-identical to the durable engine without the tier.
   bool checkpoint = DefaultCheckpointMode();
   // Walk items per checkpoint slice before the daemon yields to foreground traffic.
   int64_t checkpoint_slice = DefaultCheckpointSliceBudget();
@@ -288,11 +279,6 @@ class Cluster {
   // protocol classes come from core::LogAppendClass).
   int64_t TotalLoggedBytes() const;
   int64_t TotalLoggedBytesByClass(int cls) const;
-
-  // Aggregate external-state traffic, split by direction (feeds the auto-switch advisor's
-  // read/write-intensity estimate).
-  int64_t TotalKvReads() const;
-  int64_t TotalKvWrites() const;
 
  private:
   ClusterConfig config_;

@@ -1,7 +1,6 @@
 // Crash-restart recovery driver for the shared log (DESIGN.md §13, §14).
 //
-// One entry point serves both restart paths (Cluster::KillRestart* and ParallelCluster's
-// per-partition restarts):
+// One entry point serves every restart path (Cluster::KillRestart*):
 //   * no checkpoint store, or no valid manifest in it → strict full replay of the journal's
 //     surviving prefix (byte-for-byte the PR 9 recovery path, including the in-order
 //     watermark asserts) — legal only while the journal was never truncated;

@@ -275,11 +275,13 @@ struct PinnedRun {
 
 PinnedRun RunCounterWithAdvisorFlag(bool advisor) {
   runtime::ClusterConfig ccfg;  // Defaults: seed 1 — matches the PR 4 golden capture.
-  // The golden tuple witnesses the serial append engine on the volatile store; pin both
-  // explicitly so the HM_PIPELINE=4 / HM_DURABLE=1 CI legs (which change the environment
-  // defaults) don't shift the timing.
+  // The golden tuple witnesses the serial append engine on the one-shard volatile store; pin
+  // all three explicitly so the HM_SHARDS=4 / HM_PIPELINE=4 / HM_DURABLE=1 CI legs (which
+  // change the environment defaults) don't shift the timing.
+  ccfg.log_shards = 1;
   ccfg.append_batch_pipeline = 1;
   ccfg.durable = false;
+  ccfg.checkpoint = false;
   runtime::Cluster cluster(ccfg);
   core::RuntimeConfig rcfg;
   rcfg.default_protocol = ProtocolKind::kHalfmoonRead;

@@ -187,7 +187,7 @@ TEST(LatencyRecorderTest, ClearThenRefillInvalidatesCache) {
 }
 
 TEST(LatencyRecorderTest, ThreadLocalRecordersFoldAfterJoin) {
-  // The DESIGN.md §10 aggregation pattern: each worker thread records into its OWN recorder,
+  // The single-owner aggregation pattern: each worker thread records into its OWN recorder,
   // the main thread Merges after joining. The fold must equal one recorder that saw every
   // sample, regardless of how the OS interleaved the workers.
   constexpr int kThreads = 4;

@@ -1,5 +1,10 @@
 #include "src/runtime/cluster.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/sim/sync.h"
@@ -106,6 +111,84 @@ TEST(ClusterTest, DeterministicForFixedSeed) {
   };
   EXPECT_EQ(run(42), run(42));
   EXPECT_NE(run(42), run(43));
+}
+
+// One client's load: `ops` sequential appends to its own stream, recording each append's
+// virtual latency. One writer per stream keeps per-stream content independent of timing.
+sim::Task<void> ClientAppends(Cluster* c, int node, int client, int ops,
+                              std::vector<SimDuration>* latencies) {
+  std::string tag = "n" + std::to_string(node) + "/c" + std::to_string(client);
+  for (int op = 0; op < ops; ++op) {
+    FieldMap fields;
+    fields.SetStr("op", "append");
+    fields.SetInt("step", op);
+    fields.SetInt("src", node * 100 + client);
+    SimTime start = c->scheduler().Now();
+    co_await c->node(node).log().Append(sharedlog::OneTag(tag), std::move(fields));
+    latencies->push_back(c->scheduler().Now() - start);
+  }
+}
+
+struct GatingRun {
+  uint64_t content_fnv = 0;
+  int64_t appends = 0;
+  SimDuration median_latency = 0;
+};
+
+GatingRun RunAppendLoad(bool durable) {
+  ClusterConfig config;
+  config.seed = 5;
+  config.function_nodes = 4;
+  config.durable = durable;
+  config.checkpoint = false;
+  Cluster cluster(config);
+  std::vector<SimDuration> latencies;
+  for (int node = 0; node < config.function_nodes; ++node) {
+    for (int client = 0; client < 2; ++client) {
+      cluster.scheduler().Spawn(ClientAppends(&cluster, node, client, 40, &latencies));
+    }
+  }
+  cluster.scheduler().Run();
+
+  GatingRun run;
+  run.appends = cluster.TotalLogAppends();
+  std::nth_element(latencies.begin(), latencies.begin() + latencies.size() / 2,
+                   latencies.end());
+  run.median_latency = latencies[latencies.size() / 2];
+  // FNV-1a over every stream's name and records' fields, in committed stream order.
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](const std::string& bytes) {
+    for (unsigned char b : bytes) h = (h ^ b) * 1099511628211ull;
+  };
+  for (const std::string& name : cluster.log_space().StreamTagsWithPrefix("")) {
+    mix(name);
+    for (const sharedlog::LogRecordPtr& record : cluster.log_space().ReadStream(name)) {
+      for (const auto& [key, field] : record->fields) {
+        mix(key);
+        const int64_t* i = std::get_if<int64_t>(&field);
+        mix(i != nullptr ? std::to_string(*i) : std::get<std::string>(field));
+      }
+    }
+  }
+  run.content_fnv = h;
+  return run;
+}
+
+TEST(ClusterTest, DurableGatingDelaysAcksButKeepsContent) {
+  // Write-ahead acks (DESIGN.md §13) cost time, because the reply waits on the journal
+  // flush, but never change what commits.
+  GatingRun plain = RunAppendLoad(/*durable=*/false);
+  GatingRun durable = RunAppendLoad(/*durable=*/true);
+  EXPECT_EQ(durable.appends, plain.appends);
+  EXPECT_EQ(durable.content_fnv, plain.content_fnv);
+  EXPECT_GT(durable.median_latency, plain.median_latency);  // The flush gate is on the ack.
+}
+
+TEST(ClusterDeathTest, CheckpointWithoutDurableIsRejected) {
+  ClusterConfig config;
+  config.durable = false;
+  config.checkpoint = true;
+  EXPECT_DEATH(Cluster cluster(config), "checkpoint=true requires durable=true");
 }
 
 TEST(FailureInjectorTest, ScheduledHitsFireExactlyOnce) {

@@ -88,8 +88,10 @@ RunResult RunWorkload(ProtocolKind protocol, const faultcheck::Workload& workloa
   ccfg.append_batch_pipeline = pipeline_depth;
   // Same for the durable tier: the goldens witness the volatile store, and CI runs this
   // suite with HM_DURABLE=1 exported. scripts/check.sh re-checks the goldens with
-  // HM_DURABLE=0 through the environment default path.
+  // HM_DURABLE=0 through the environment default path. The checkpoint tier needs the
+  // journal, so it goes off with it.
   ccfg.durable = false;
+  ccfg.checkpoint = false;
   runtime::Cluster cluster(ccfg);
   core::RuntimeConfig rcfg;
   rcfg.default_protocol = protocol;

@@ -212,6 +212,7 @@ TEST(RecoveryTest, FunctionNodeKillOnlyDropsSoftState) {
 TEST(RecoveryTest, VolatileModeHasNoDurabilityMachinery) {
   ClusterConfig config = DurableConfig();
   config.durable = false;
+  config.checkpoint = false;
   Cluster cluster(config);
   EXPECT_EQ(cluster.log_durability(), nullptr);
   EXPECT_EQ(cluster.kv_durability(), nullptr);
