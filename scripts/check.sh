@@ -21,10 +21,17 @@ cmake -B "${BUILD_DIR}" -S . -DHM_WERROR=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure
 
-# Smoke-mode bench: exercises the full-scale equivalence assertions (group commit vs
-# per-request appends, coalesced propagation, zero-copy audit) at reduced scale. Runs from
-# inside the build dir so the scaled-down JSON never overwrites the tracked full-scale
+# Smoke-mode bench: the pinned sections run their full shape, so every pinned counter (op
+# counts, content checksums, scheduler events, sequencer rounds, cache hits) and every
+# equivalence assertion (group commit vs per-request appends, coalesced propagation,
+# zero-copy audit) is checked; HM_BENCH_SCALE only shortens the timed passes. The first run
+# sets every env-defaulted ClusterConfig field: the pins must not move. Runs from inside the
+# build dir so the scaled-down JSON never overwrites the tracked full-scale
 # BENCH_hotpath.json at the repo root (DESIGN.md §7.4).
+( cd "${BUILD_DIR}" && HM_SHARDS=4 HM_PIPELINE=4 HM_DURABLE=1 HM_CHECKPOINT=1 \
+    HM_BENCH_SCALE=0.05 ./bench/bench_hotpath >/dev/null ) \
+  || { echo "check.sh: FAIL — bench_hotpath pins moved under HM_SHARDS/PIPELINE/DURABLE/CHECKPOINT" >&2; exit 1; }
+echo "[bench] HM_SHARDS=4 HM_PIPELINE=4 HM_DURABLE=1 HM_CHECKPOINT=1: pins hold"
 ( cd "${BUILD_DIR}" && HM_BENCH_SCALE=0.2 ./bench/bench_hotpath )
 
 # Shard-equivalence smoke: the same seed through a 1-shard and a 4-shard log must commit

@@ -51,19 +51,12 @@ inline bool EnvFlag(const char* name) {
   return raw != nullptr && *raw != '\0' && *raw != '0';
 }
 
-// Group-commit knobs (DESIGN.md §7.5, §12). These are the environment defaults that
-// ClusterConfig inherits, so benches and CI can sweep the append path without code changes.
+// Environment defaults that ClusterConfig inherits, so CI can sweep the append path and the
+// storage tier without code changes (DESIGN.md §12-§14).
 
 // HM_PIPELINE: sequencer rounds in flight per node-shard batcher. 1 (the default) is the
 // serial engine, bit-identical to the pre-pipelining implementation.
 inline int DefaultAppendPipelineDepth() { return EnvInt("HM_PIPELINE", 1, 1); }
-
-// HM_BATCH_WINDOW: extra batching window in microseconds before a round departs. 0 keeps
-// isolated appends at exactly the unbatched latency.
-inline int DefaultAppendBatchWindowUs() { return EnvInt("HM_BATCH_WINDOW", 0, 0); }
-
-// HM_BATCH_MAX: cap on requests per sequencer round.
-inline int DefaultAppendBatchMax() { return EnvInt("HM_BATCH_MAX", 1, 64); }
 
 // HM_DURABLE: attach the simulated durable medium (DESIGN.md §13) under the shared log and
 // KV store. Off (the default) constructs no storage engine at all — bit-identical to the
@@ -75,19 +68,6 @@ inline bool DefaultDurableMode() { return EnvFlag("HM_DURABLE"); }
 // to compact otherwise). Off (the default) constructs no checkpoint service at all —
 // bit-identical to the PR 9 durable engine.
 inline bool DefaultCheckpointMode() { return EnvFlag("HM_CHECKPOINT"); }
-
-// HM_CHECKPOINT_SLICE: checkpoint-walk items emitted per slice before the daemon yields to
-// foreground traffic (bounds how fuzzy an image gets and how long a slice blocks).
-inline int DefaultCheckpointSliceBudget() { return EnvInt("HM_CHECKPOINT_SLICE", 1, 4096); }
-
-// HM_CHECKPOINT_BYTES: journal growth (bytes appended since the last round began) that
-// auto-triggers the next checkpoint round. 0 disables auto-triggering (rounds are then
-// explicit via CheckpointService::TriggerRound — what the faultcheck `ckpt@<hit>` arming and
-// the benches use). The default is large enough that short tests never checkpoint
-// spontaneously, keeping their timing pins stable.
-inline int DefaultCheckpointTriggerBytes() {
-  return EnvInt("HM_CHECKPOINT_BYTES", 0, 64 << 20);
-}
 
 }  // namespace halfmoon
 

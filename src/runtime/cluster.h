@@ -78,14 +78,15 @@ struct ClusterConfig {
   // Node-local group commit for the append path (see sharedlog/append_batcher.h): appends
   // issued while a node's sequencer round is in flight share the next round. Committed
   // records and protocol outcomes are identical to the per-request reference mode (asserted
-  // by the equivalence tests); only timing differs. window/max/pipeline knobs mirror
-  // AppendBatchConfig and default from the environment (HM_BATCH_WINDOW in µs, HM_BATCH_MAX,
-  // HM_PIPELINE) so CI and benches can sweep them. append_batch_pipeline > 1 keeps that many
-  // sequencer rounds in flight per node-shard, committed strictly in departure order
-  // (DESIGN.md §12); 1 is bit-identical to the serial engine.
+  // by the equivalence tests); only timing differs. window/max/pipeline mirror
+  // AppendBatchConfig: a 0 µs window keeps isolated appends at exactly the unbatched latency,
+  // and max caps requests per sequencer round. append_batch_pipeline defaults from
+  // HM_PIPELINE so CI can sweep it; > 1 keeps that many sequencer rounds in flight per
+  // node-shard, committed strictly in departure order (DESIGN.md §12); 1 is bit-identical to
+  // the serial engine.
   bool group_commit_appends = true;
-  SimDuration append_batch_window = Microseconds(DefaultAppendBatchWindowUs());
-  int append_batch_max = DefaultAppendBatchMax();
+  SimDuration append_batch_window = 0;
+  int append_batch_max = 64;
   int append_batch_pipeline = DefaultAppendPipelineDepth();
 
   // Event-queue implementation for the scheduler: the timer wheel (default) or the
@@ -106,10 +107,12 @@ struct ClusterConfig {
   // constructor rejects durable=0 + checkpoint=1. When clear, no checkpoint service or store
   // is ever constructed — bit-identical to the durable engine without the tier.
   bool checkpoint = DefaultCheckpointMode();
-  // Walk items per checkpoint slice before the daemon yields to foreground traffic.
-  int64_t checkpoint_slice = DefaultCheckpointSliceBudget();
-  // Journal growth in bytes that auto-triggers a round (0 = explicit TriggerRound only).
-  int64_t checkpoint_trigger_bytes = DefaultCheckpointTriggerBytes();
+  // Walk items per checkpoint slice before the daemon yields to foreground traffic (bounds
+  // how fuzzy an image gets and how long a slice blocks).
+  int64_t checkpoint_slice = 4096;
+  // Journal growth in bytes that auto-triggers a round (0 = explicit TriggerRound only). Large
+  // enough that short tests never checkpoint spontaneously, keeping their timing pins stable.
+  int64_t checkpoint_trigger_bytes = int64_t{64} << 20;
 
   uint64_t seed = 1;
   LatencyCalibration calibration;

@@ -428,7 +428,7 @@ TEST(AppendBatcherTest, AdaptiveControllerWidensUnderStormAndNarrowsWhenIdle) {
   EXPECT_EQ(batcher->effective_depth(), 1);
 }
 
-// HM_PIPELINE / HM_BATCH_WINDOW / HM_BATCH_MAX environment plumbing (src/common/env.h).
+// HM_PIPELINE environment plumbing (src/common/env.h).
 TEST(AppendBatcherTest, PipelineKnobsReadEnvironment) {
   auto with_env = [](const char* name, const char* value, auto probe) {
     const char* old = getenv(name);
@@ -452,10 +452,6 @@ TEST(AppendBatcherTest, PipelineKnobsReadEnvironment) {
   // (HM_PIPELINE=O1, =0) must never run a sweep with a config the user did not ask for.
   with_env("HM_PIPELINE", "0",
            [] { EXPECT_DEATH(DefaultAppendPipelineDepth(), "below the knob's minimum"); });
-  with_env("HM_BATCH_WINDOW", nullptr, [] { EXPECT_EQ(DefaultAppendBatchWindowUs(), 0); });
-  with_env("HM_BATCH_WINDOW", "150", [] { EXPECT_EQ(DefaultAppendBatchWindowUs(), 150); });
-  with_env("HM_BATCH_MAX", nullptr, [] { EXPECT_EQ(DefaultAppendBatchMax(), 64); });
-  with_env("HM_BATCH_MAX", "16", [] { EXPECT_EQ(DefaultAppendBatchMax(), 16); });
 }
 
 }  // namespace

@@ -149,39 +149,45 @@ void PrintRecovery(const char* what, const Cluster& cluster) {
 }
 
 TEST(CheckpointRecoveryTest, ImagePlusSuffixMatchesFullReplayExactly) {
-  Cluster cluster(CheckpointConfig());
-  cluster.scheduler().Spawn(PopulateWorkload(&cluster, 12));
-  cluster.scheduler().Run();
+  // The default slice budget and a tiny one.
+  for (int64_t slice : {int64_t{4096}, int64_t{7}}) {
+    SCOPED_TRACE("checkpoint_slice=" + std::to_string(slice));
+    ClusterConfig config = CheckpointConfig();
+    config.checkpoint_slice = slice;
+    Cluster cluster(config);
+    cluster.scheduler().Spawn(PopulateWorkload(&cluster, 12));
+    cluster.scheduler().Run();
 
-  // Full-replay reference first (no checkpoint taken yet).
-  uint64_t before = StateChecksum(cluster, kKvKeys, kObjects);
-  cluster.KillRestartStorage();
-  EXPECT_FALSE(cluster.last_log_recovery().used_checkpoint);
-  int64_t full_replay_frames = cluster.last_log_recovery().suffix_frames;
-  EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), before);
+    // Full-replay reference first (no checkpoint taken yet).
+    uint64_t before = StateChecksum(cluster, kKvKeys, kObjects);
+    cluster.KillRestartStorage();
+    EXPECT_FALSE(cluster.last_log_recovery().used_checkpoint);
+    int64_t full_replay_frames = cluster.last_log_recovery().suffix_frames;
+    EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), before);
 
-  // Checkpoint, then keep running: the post-checkpoint ops form the replay suffix.
-  CheckpointOnce(cluster);
-  EXPECT_GT(cluster.checkpoint_service()->stats().rounds_completed, 0);
-  EXPECT_GT(cluster.checkpoint_service()->stats().journal_bytes_truncated, 0);
-  EXPECT_GT(cluster.log_durability()->retained_offset(), 0u);
-  // The compaction satellite's core claim: the journal's device footprint actually shrank.
-  EXPECT_GT(cluster.log_durability()->stats().durable_bytes_dropped, 0);
-  EXPECT_GT(cluster.kv_durability()->stats().durable_bytes_dropped, 0);
+    // Checkpoint, then keep running: the post-checkpoint ops form the replay suffix.
+    CheckpointOnce(cluster);
+    EXPECT_GT(cluster.checkpoint_service()->stats().rounds_completed, 0);
+    EXPECT_GT(cluster.checkpoint_service()->stats().journal_bytes_truncated, 0);
+    EXPECT_GT(cluster.log_durability()->retained_offset(), 0u);
+    // The compaction satellite's core claim: the journal's device footprint actually shrank.
+    EXPECT_GT(cluster.log_durability()->stats().durable_bytes_dropped, 0);
+    EXPECT_GT(cluster.kv_durability()->stats().durable_bytes_dropped, 0);
 
-  cluster.scheduler().Spawn(PopulateWorkload(&cluster, 3));
-  cluster.scheduler().Run();
+    cluster.scheduler().Spawn(PopulateWorkload(&cluster, 3));
+    cluster.scheduler().Run();
 
-  uint64_t acked = StateChecksum(cluster, kKvKeys, kObjects);
-  cluster.KillRestartStorage();
-  PrintRecovery("post-checkpoint", cluster);
-  EXPECT_TRUE(cluster.last_log_recovery().used_checkpoint);
-  EXPECT_TRUE(cluster.last_kv_recovery().used_checkpoint);
-  EXPECT_GT(cluster.last_log_recovery().image_frames, 0);
-  EXPECT_GT(cluster.last_kv_recovery().image_frames, 0);
-  // The suffix is bounded by the post-checkpoint work, not the whole history.
-  EXPECT_LT(cluster.last_log_recovery().suffix_frames, full_replay_frames);
-  EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), acked);
+    uint64_t acked = StateChecksum(cluster, kKvKeys, kObjects);
+    cluster.KillRestartStorage();
+    PrintRecovery("post-checkpoint", cluster);
+    EXPECT_TRUE(cluster.last_log_recovery().used_checkpoint);
+    EXPECT_TRUE(cluster.last_kv_recovery().used_checkpoint);
+    EXPECT_GT(cluster.last_log_recovery().image_frames, 0);
+    EXPECT_GT(cluster.last_kv_recovery().image_frames, 0);
+    // The suffix is bounded by the post-checkpoint work, not the whole history.
+    EXPECT_LT(cluster.last_log_recovery().suffix_frames, full_replay_frames);
+    EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), acked);
+  }
 }
 
 TEST(CheckpointRecoveryTest, RecoveryIsIdempotentAndSeqnumExact) {
