@@ -9,11 +9,11 @@
 #ifndef HALFMOON_BENCH_BENCH_COMMON_H_
 #define HALFMOON_BENCH_BENCH_COMMON_H_
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/env.h"
 #include "src/core/gc_service.h"
 #include "src/core/ssf_runtime.h"
 #include "src/metrics/table_printer.h"
@@ -21,12 +21,8 @@
 
 namespace halfmoon::bench {
 
-inline double BenchScale() {
-  const char* env = std::getenv("HM_BENCH_SCALE");
-  if (env == nullptr) return 1.0;
-  double scale = std::atof(env);
-  return scale > 0.0 ? scale : 1.0;
-}
+// HM_BENCH_SCALE, strictly parsed: a malformed or non-positive value aborts the bench.
+inline double BenchScale() { return EnvPositiveDouble("HM_BENCH_SCALE", 1.0); }
 
 inline SimDuration Scaled(SimDuration d) {
   return static_cast<SimDuration>(static_cast<double>(d) * BenchScale());

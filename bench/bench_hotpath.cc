@@ -3,13 +3,13 @@
 // the timer wheel, sharding, pipelined rounds, the read cache, the incremental GC frontier,
 // coalesced index propagation, and the online advisor.
 //
-// Every section that simulates runs a fixed shape on a ClusterConfig whose env-defaulted
-// fields are set explicitly, and HM_CHECKs its counters against recorded values: op counts,
-// content checksums, scheduler events, sequencer rounds, cache hits. Those pins are machine-
-// and environment-independent, so each win is gated exactly and no HM_* setting can move
-// one. Where a reference mode still lives in src/ (per-request appends, the binary-heap
-// scheduler, per-commit propagation) — or a from-scratch scan can recompute an incremental
-// answer (the GC frontier) — the section runs both and asserts identical results.
+// Every section that simulates runs a fixed shape on the constant ClusterConfig defaults, and
+// HM_CHECKs its counters against recorded values: op counts, content checksums, scheduler
+// events, sequencer rounds, cache hits. Those pins are machine- and environment-independent,
+// so each win is gated exactly. Where a reference mode still lives in src/ (per-request
+// appends, the binary-heap scheduler, per-commit propagation) — or a from-scratch scan can
+// recompute an incremental answer (the GC frontier) — the section runs both and asserts
+// identical results.
 // Wall-clock rates are reported, never gated.
 //
 // Output: BENCH_hotpath.json in the working directory, plus a human-readable summary on
@@ -51,17 +51,12 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 // Timed repetitions at this HM_BENCH_SCALE: `full` passes at scale 1, never fewer than one.
 int Passes(int full, double scale) { return std::max(1, static_cast<int>(full * scale)); }
 
-// The cluster every simulated section runs on: each ClusterConfig field that defaults from
-// the environment (HM_SHARDS, HM_PIPELINE, HM_DURABLE, HM_CHECKPOINT) is set to its unset
-// value, so the pinned counters below hold under any CI HM_* cell.
+// The cluster every simulated section runs on: the ClusterConfig defaults at `nodes`
+// function nodes.
 runtime::ClusterConfig PinnedConfig(int nodes) {
   runtime::ClusterConfig config;
   config.function_nodes = nodes;
   config.seed = 1;
-  config.log_shards = 1;
-  config.append_batch_pipeline = 1;
-  config.durable = false;
-  config.checkpoint = false;
   return config;
 }
 

@@ -17,6 +17,15 @@ if git ls-files | grep -qE '^build'; then
   exit 1
 fi
 
+# Config is plain data: no file under src/ reads the environment, so a default-constructed
+# ClusterConfig/RuntimeConfig means the same cluster in every CI cell. The matrix reaches the
+# tests through tests/testing/config_from_env.h; src/common/env.h is only the parser.
+if grep -rnE 'getenv|Env(Int|Flag|PositiveDouble)\b|common/env\.h' src \
+    --include='*.cc' --include='*.h' | grep -v '^src/common/env\.h:'; then
+  echo "check.sh: FAIL — src/ reads the environment (listed above)" >&2
+  exit 1
+fi
+
 cmake -B "${BUILD_DIR}" -S . -DHM_WERROR=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure
@@ -24,14 +33,9 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
 # Smoke-mode bench: the pinned sections run their full shape, so every pinned counter (op
 # counts, content checksums, scheduler events, sequencer rounds, cache hits) and every
 # equivalence assertion (group commit vs per-request appends, coalesced propagation,
-# zero-copy audit) is checked; HM_BENCH_SCALE only shortens the timed passes. The first run
-# sets every env-defaulted ClusterConfig field: the pins must not move. Runs from inside the
-# build dir so the scaled-down JSON never overwrites the tracked full-scale
+# zero-copy audit) is checked; HM_BENCH_SCALE only shortens the timed passes. Runs from
+# inside the build dir so the scaled-down JSON never overwrites the tracked full-scale
 # BENCH_hotpath.json at the repo root (DESIGN.md §7.4).
-( cd "${BUILD_DIR}" && HM_SHARDS=4 HM_PIPELINE=4 HM_DURABLE=1 HM_CHECKPOINT=1 \
-    HM_BENCH_SCALE=0.05 ./bench/bench_hotpath >/dev/null ) \
-  || { echo "check.sh: FAIL — bench_hotpath pins moved under HM_SHARDS/PIPELINE/DURABLE/CHECKPOINT" >&2; exit 1; }
-echo "[bench] HM_SHARDS=4 HM_PIPELINE=4 HM_DURABLE=1 HM_CHECKPOINT=1: pins hold"
 ( cd "${BUILD_DIR}" && HM_BENCH_SCALE=0.2 ./bench/bench_hotpath )
 
 # Shard-equivalence smoke: the same seed through a 1-shard and a 4-shard log must commit
@@ -60,52 +64,28 @@ echo "[bench] HM_SHARDS=4 HM_PIPELINE=4 HM_DURABLE=1 HM_CHECKPOINT=1: pins hold"
 "${BUILD_DIR}"/tests/faultcheck_negative_test --gtest_brief=1 | grep -c '^\[faultcheck\]   FAIL' \
   | sed 's/^/[faultcheck] negative-control failing schedules (expected nonzero): /'
 
-# Durability smoke (DESIGN.md §13). Leg 1: HM_DURABLE=0 must stay bit-identical to the
-# pre-storage-engine implementation — the PR 4 golden tuples (events, virtual end time,
-# seqnums, content FNV) re-checked with the variable explicitly off. Leg 2: the node-grain
-# kill/restart sweeps (storage / sequencer / function-node kills at traced positions) must
-# pass the consistency oracle with the journaled tier on; the '[faultcheck]' lines surface
-# the explored-schedule counts, and 'failures=0' is enforced by the test itself.
-HM_DURABLE=0 "${BUILD_DIR}"/tests/sharded_equivalence_test \
-  --gtest_filter='ShardedEquivalenceTest.OneShardIsBitIdenticalToPreShardingGoldens' \
-  --gtest_brief=1 \
-  || { echo "check.sh: FAIL — HM_DURABLE=0 is no longer bit-identical to the goldens" >&2; exit 1; }
-HM_DURABLE=1 "${BUILD_DIR}"/tests/faultcheck_node_failure_test --gtest_brief=1 \
-  | grep '^\[faultcheck\]'
+# Durability smoke (DESIGN.md §13): the node-grain kill/restart sweeps (storage / sequencer /
+# function-node kills at traced positions) must pass the consistency oracle with the
+# journaled tier on; the '[faultcheck]' lines surface the explored-schedule counts, and
+# 'failures=0' is enforced by the test itself.
+"${BUILD_DIR}"/tests/faultcheck_node_failure_test --gtest_brief=1 | grep '^\[faultcheck\]'
 
 # Checkpoint smoke (DESIGN.md §14). Leg 1: cluster-grain recovery must actually come up
 # through load-image + replay-suffix — a silent regression to full replay would still pass
 # the equivalence assertions, so the 'mode=image+suffix' line is enforced here. Leg 2: the
 # checkpoint-round failure sweeps (daemon crashes inside a round, node kills around one)
 # must pass the consistency oracle; 'failures=0' is enforced by the test itself.
-HM_DURABLE=1 HM_CHECKPOINT=1 "${BUILD_DIR}"/tests/checkpoint_recovery_test \
+"${BUILD_DIR}"/tests/checkpoint_recovery_test \
   --gtest_brief=1 | grep '^\[checkpoint\]' | tee /dev/stderr | grep -q 'mode=image+suffix' \
   || { echo "check.sh: FAIL — checkpointed recovery silently fell back to full replay" >&2; exit 1; }
-HM_DURABLE=1 HM_CHECKPOINT=1 "${BUILD_DIR}"/tests/faultcheck_checkpoint_test --gtest_brief=1 \
-  | grep '^\[faultcheck\]' | sed 's/$/ (HM_CHECKPOINT=1)/'
-
-# Incoherent-config smoke: the checkpoint tier needs the journal, so HM_DURABLE=0 with
-# HM_CHECKPOINT=1 must abort at Cluster construction and name both fields — never silently
-# run a cluster without checkpoints.
-if out=$(HM_DURABLE=0 HM_CHECKPOINT=1 "${BUILD_DIR}"/tests/runtime_test \
-    --gtest_filter='ClusterTest.BuildsConfiguredTopology' 2>&1); then
-  echo "check.sh: FAIL — HM_DURABLE=0 HM_CHECKPOINT=1 ran instead of failing" >&2
-  exit 1
-fi
-grep -q 'checkpoint=true requires durable=true' <<<"${out}" \
-  || { echo "check.sh: FAIL — incoherent config did not fail with the config error" >&2; exit 1; }
-echo "[config] HM_DURABLE=0 HM_CHECKPOINT=1 rejected at construction"
+"${BUILD_DIR}"/tests/faultcheck_checkpoint_test --gtest_brief=1 | grep '^\[faultcheck\]'
 
 # Advisor smoke (DESIGN.md §11): the drift byte gate (advisor strictly below both static
-# protocols), the hysteresis/dwell counters, and the HM_ADVISOR=0 golden content checksum,
+# protocols), the hysteresis/dwell counters, and the advisor-off golden content checksum,
 # surfaced via their '[advisor]' summary lines. A missing 'win' line — the byte gate — or a
-# missing pinned-checksum line fails the run. Runs only the advisor-aware binaries: the
-# HM_ADVISOR default would perturb the golden timing pins of the full suite.
+# missing pinned-checksum line fails the run.
 "${BUILD_DIR}"/tests/online_advisor_test --gtest_brief=1 | grep '^\[advisor\]' \
   | tee /dev/stderr | grep -q ' win' \
   || { echo "check.sh: FAIL — advisor drift byte gate did not report a win" >&2; exit 1; }
-HM_ADVISOR=1 "${BUILD_DIR}"/tests/faultcheck_advisor_test --gtest_brief=1 \
-  | grep '^\[faultcheck\]' \
-  | sed 's/^\[faultcheck\]/[advisor]/;s/$/ (HM_ADVISOR=1)/'
 
 echo "check.sh: all tests passed"

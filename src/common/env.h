@@ -1,16 +1,16 @@
 // Centralized HM_* environment-variable parsing.
 //
-// Runtime knobs (HM_SHARDS, HM_PIPELINE, HM_ADVISOR, HM_FAULTCHECK_FULL, ...) used to
-// hand-roll getenv+parse at each consumer; these helpers are the single implementation.
-// Header-only and dependency-free so every layer (sim, sharedlog, runtime, core, tests)
-// can include it without cycles — core/env.h, for example, includes runtime/cluster.h,
-// which itself needs EnvInt for its shard-count default.
+// The test harness and the benches read a few HM_* knobs (the CI matrix in
+// tests/testing/config_from_env.h, HM_FAULTCHECK_FULL, HM_BENCH_SCALE); these helpers are
+// the single parser. Nothing under src/ reads the environment: ClusterConfig and
+// RuntimeConfig defaults are constants, and scripts/check.sh rejects a getenv there.
 
 #ifndef HALFMOON_COMMON_ENV_H_
 #define HALFMOON_COMMON_ENV_H_
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -45,29 +45,27 @@ inline int EnvInt(const char* name, int min_value, int fallback) {
   return static_cast<int>(value);
 }
 
+// Positive real-valued knob (a scale factor): unset or empty -> fallback. Anything else must
+// parse COMPLETELY as a finite number > 0; "abc", "0", "-1" and "0.2x" abort.
+inline double EnvPositiveDouble(const char* name, double fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  errno = 0;
+  char* end = nullptr;
+  double value = std::strtod(raw, &end);
+  if (end == raw || *end != '\0') {
+    EnvParseError(name, raw, "not a number (trailing garbage rejected)");
+  }
+  if (errno == ERANGE || !std::isfinite(value)) EnvParseError(name, raw, "out of range");
+  if (value <= 0.0) EnvParseError(name, raw, "must be positive");
+  return value;
+}
+
 // Boolean knob: on when set to anything non-empty not starting with '0'.
 inline bool EnvFlag(const char* name) {
   const char* raw = std::getenv(name);
   return raw != nullptr && *raw != '\0' && *raw != '0';
 }
-
-// Environment defaults that ClusterConfig inherits, so CI can sweep the append path and the
-// storage tier without code changes (DESIGN.md §12-§14).
-
-// HM_PIPELINE: sequencer rounds in flight per node-shard batcher. 1 (the default) is the
-// serial engine, bit-identical to the pre-pipelining implementation.
-inline int DefaultAppendPipelineDepth() { return EnvInt("HM_PIPELINE", 1, 1); }
-
-// HM_DURABLE: attach the simulated durable medium (DESIGN.md §13) under the shared log and
-// KV store. Off (the default) constructs no storage engine at all — bit-identical to the
-// pre-storage simulation, pinned by the golden checksums.
-inline bool DefaultDurableMode() { return EnvFlag("HM_DURABLE"); }
-
-// HM_CHECKPOINT: attach the incremental checkpoint + journal-compaction tier (DESIGN.md
-// §14) on top of the durable medium. Only effective with HM_DURABLE=1 (there is no journal
-// to compact otherwise). Off (the default) constructs no checkpoint service at all —
-// bit-identical to the PR 9 durable engine.
-inline bool DefaultCheckpointMode() { return EnvFlag("HM_CHECKPOINT"); }
 
 }  // namespace halfmoon
 

@@ -51,18 +51,7 @@ Explorer::Explorer(Workload workload, ExplorerOptions options)
     : workload_(std::move(workload)), options_(std::move(options)) {}
 
 Explorer::RunOutcome Explorer::RunSchedule(const Schedule& schedule, bool record_trace) {
-  runtime::ClusterConfig ccfg;
-  ccfg.seed = options_.seed;
-  ccfg.function_nodes = 4;
-  ccfg.workers_per_node = 8;
-  if (options_.log_shards > 0) ccfg.log_shards = options_.log_shards;
-  if (options_.pipeline_depth > 0) ccfg.append_batch_pipeline = options_.pipeline_depth;
-  if (options_.durable >= 0) ccfg.durable = options_.durable != 0;
-  if (options_.checkpoints) ccfg.checkpoint = true;
-  // The checkpoint tier needs a journal. A checkpoint point armed on the volatile store then
-  // fails at its own guard.
-  if (options_.durable == 0) ccfg.checkpoint = false;
-  runtime::Cluster cluster(ccfg);
+  runtime::Cluster cluster(options_.cluster);
 
   core::RuntimeConfig rcfg;
   rcfg.default_protocol = options_.protocol;
@@ -110,9 +99,9 @@ Explorer::RunOutcome Explorer::RunSchedule(const Schedule& schedule, bool record
                           });
         break;
       case FaultKind::kNodeKill:
-        HM_CHECK_MSG(ccfg.durable,
-                     "node-kill fault points require the durable storage tier (HM_DURABLE=1 "
-                     "or ExplorerOptions::durable = 1)");
+        HM_CHECK_MSG(options_.cluster.durable,
+                     "node-kill fault points require the durable storage tier "
+                     "(ExplorerOptions::cluster.durable)");
         injector.RunAtHit(point.at_hit, [&cluster, domain = point.site] {
           if (domain == "store") {
             cluster.KillRestartStorage();
@@ -131,9 +120,9 @@ Explorer::RunOutcome Explorer::RunSchedule(const Schedule& schedule, bool record
         });
         break;
       case FaultKind::kCheckpoint:
-        HM_CHECK_MSG(ccfg.durable && ccfg.checkpoint,
+        HM_CHECK_MSG(options_.cluster.checkpoint,
                      "checkpoint fault points require the checkpoint tier "
-                     "(ExplorerOptions::checkpoints with durable = 1)");
+                     "(ExplorerOptions::cluster.checkpoint)");
         injector.RunAtHit(point.at_hit,
                           [&cluster] { cluster.checkpoint_service()->TriggerRound(); });
         break;

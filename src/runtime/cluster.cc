@@ -12,9 +12,12 @@ Cluster::Cluster(const ClusterConfig& config)
       rng_(config.seed),
       models_(config.calibration),
       log_space_(static_cast<uint32_t>(config.log_shards)) {
-  // An incoherent config fails here instead of silently running a different system.
+  // An incoherent config fails here instead of silently running a different system (or
+  // hanging: a zero batch cap or slice budget makes every round empty, forever).
   HM_CHECK_MSG(config.durable || !config.checkpoint,
                "ClusterConfig: checkpoint=true requires durable=true (no journal to compact)");
+  HM_CHECK_MSG(config.append_batch_max >= 1, "ClusterConfig: append_batch_max must be >= 1");
+  HM_CHECK_MSG(config.checkpoint_slice >= 1, "ClusterConfig: checkpoint_slice must be >= 1");
   if (config.model_queueing) {
     // One sequencer station per log shard: sequencer rounds bound for different shards no
     // longer contend, which is the shard-scaling mechanism (DESIGN.md §9).
@@ -56,7 +59,7 @@ Cluster::Cluster(const ClusterConfig& config)
 
   // Durable medium (DESIGN.md §13): one journal per storage domain. The services draw flush
   // latencies from their own derived RNG streams (distinct salts), so attaching them never
-  // perturbs the main sample sequence — and HM_DURABLE=0, which skips this block entirely,
+  // perturbs the main sample sequence — and durable=false, which skips this block entirely,
   // stays bit-identical to the pre-storage engine.
   if (config.durable) {
     log_durability_ =

@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/env.h"
 #include "src/common/latency_model.h"
 #include "src/common/rng.h"
 #include "src/kvstore/kv_client.h"
@@ -37,10 +36,9 @@
 
 namespace halfmoon::runtime {
 
-// Default shard count for the shared log: the HM_SHARDS environment variable (so CI can run
-// the whole tier-1 suite sharded), 1 otherwise.
-inline int DefaultLogShards() { return EnvInt("HM_SHARDS", 1, 1); }
-
+// Plain data: every default is a constant, so a default-constructed config means the same
+// cluster everywhere. The test harness maps the CI matrix's HM_* variables onto it
+// (tests/testing/config_from_env.h); the Cluster constructor rejects incoherent values.
 struct ClusterConfig {
   // §6: eight function nodes; worker slots bound per-node concurrency.
   int function_nodes = 8;
@@ -55,7 +53,7 @@ struct ClusterConfig {
   // per-node batcher queue, so appends to tags on different shards commit in parallel
   // simulated time. 1 (the default) is bit-identical to the unsharded log; committed content
   // is shard-count-invariant (asserted by the shard-equivalence tests).
-  int log_shards = DefaultLogShards();
+  int log_shards = 1;
 
   // Node-local consistent payload cache in every LogClient (DESIGN.md §9): logReadPrev hits
   // validated against the index replica skip the storage hop and the index walk. Off by
@@ -80,35 +78,34 @@ struct ClusterConfig {
   // records and protocol outcomes are identical to the per-request reference mode (asserted
   // by the equivalence tests); only timing differs. window/max/pipeline mirror
   // AppendBatchConfig: a 0 µs window keeps isolated appends at exactly the unbatched latency,
-  // and max caps requests per sequencer round. append_batch_pipeline defaults from
-  // HM_PIPELINE so CI can sweep it; > 1 keeps that many sequencer rounds in flight per
-  // node-shard, committed strictly in departure order (DESIGN.md §12); 1 is bit-identical to
-  // the serial engine.
+  // and max (>= 1) caps requests per sequencer round. append_batch_pipeline > 1 keeps that
+  // many sequencer rounds in flight per node-shard, committed strictly in departure order
+  // (DESIGN.md §12); 1 is bit-identical to the serial engine.
   bool group_commit_appends = true;
   SimDuration append_batch_window = 0;
   int append_batch_max = 64;
-  int append_batch_pipeline = DefaultAppendPipelineDepth();
+  int append_batch_pipeline = 1;
 
   // Event-queue implementation for the scheduler: the timer wheel (default) or the
   // binary-heap reference mode, which fires the exact same event order (equivalence-tested)
   // at O(log n) per event.
   sim::QueueMode queue_mode = sim::QueueMode::kTimerWheel;
 
-  // Durable medium + crash-restart recovery (DESIGN.md §13), from HM_DURABLE by default.
+  // Durable medium + crash-restart recovery (DESIGN.md §13).
   // When set, the shared log and the KV store journal every mutation to simulated devices
   // with a write-ahead ordering contract (acks and index propagation gate on the flush), and
   // the cluster supports whole-node KillRestart* with log-replay recovery. When clear, no
   // durability service is ever constructed and the simulation — including its RNG draws — is
   // bit-identical to the pre-storage engine.
-  bool durable = DefaultDurableMode();
+  bool durable = false;
 
-  // Incremental checkpointing + journal compaction (DESIGN.md §14), from HM_CHECKPOINT by
-  // default. Requires `durable` (there is no journal to compact otherwise): the Cluster
-  // constructor rejects durable=0 + checkpoint=1. When clear, no checkpoint service or store
+  // Incremental checkpointing + journal compaction (DESIGN.md §14). Requires `durable`
+  // (there is no journal to compact otherwise): the Cluster constructor rejects
+  // durable=false + checkpoint=true. When clear, no checkpoint service or store
   // is ever constructed — bit-identical to the durable engine without the tier.
-  bool checkpoint = DefaultCheckpointMode();
-  // Walk items per checkpoint slice before the daemon yields to foreground traffic (bounds
-  // how fuzzy an image gets and how long a slice blocks).
+  bool checkpoint = false;
+  // Walk items per checkpoint slice (>= 1) before the daemon yields to foreground traffic
+  // (bounds how fuzzy an image gets and how long a slice blocks).
   int64_t checkpoint_slice = 4096;
   // Journal growth in bytes that auto-triggers a round (0 = explicit TriggerRound only). Large
   // enough that short tests never checkpoint spontaneously, keeping their timing pins stable.

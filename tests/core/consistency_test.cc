@@ -47,7 +47,7 @@ void RunScript(runtime::Cluster& cluster, sim::Task<void> script) {
 }
 
 TEST(Figure4Test, HalfmoonReadOrdersEventsByLogicalTimestamps) {
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   Seed(cluster, "X", "x0");
   Seed(cluster, "Y", "y0");
 
@@ -83,7 +83,7 @@ TEST(Figure4Test, HalfmoonReadOrdersEventsByLogicalTimestamps) {
 TEST(Figure4Test, LogFreeReadIsStableAcrossLaterWrites) {
   // The crux of idempotent log-free reads: re-evaluating the same read (same cursorTS) after
   // more writes landed must return the same result.
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   Seed(cluster, "X", "x0");
 
   RunScript(cluster, [](runtime::Cluster* c) -> sim::Task<void> {
@@ -104,7 +104,7 @@ TEST(Figure4Test, LogFreeReadIsStableAcrossLaterWrites) {
 }
 
 TEST(Figure6Test, HalfmoonWriteReordersStaleWritesBehindFresherOnes) {
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   Seed(cluster, "X", "x0");
   Seed(cluster, "Y", "y0");
   Seed(cluster, "Z", "z0");
@@ -135,7 +135,7 @@ TEST(Figure6Test, HalfmoonWriteReordersStaleWritesBehindFresherOnes) {
 }
 
 TEST(Figure8Test, ConsecutiveLogFreeWritesToDifferentObjectsMayCommute) {
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   Seed(cluster, "X", "x0");
   Seed(cluster, "Y", "y0");
 
@@ -160,7 +160,7 @@ TEST(Figure8Test, ConsecutiveLogFreeWritesToDifferentObjectsMayCommute) {
 
 TEST(Section44Test, InitEnforcesRealTimeBoundaryAcrossSsfs) {
   // §4.4: if an operation finishes at real time t, every SSF starting after t sees it.
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   Seed(cluster, "X", "x0");
 
   RunScript(cluster, [](runtime::Cluster* c) -> sim::Task<void> {
@@ -179,7 +179,7 @@ TEST(Section44Test, InitEnforcesRealTimeBoundaryAcrossSsfs) {
 TEST(Section44Test, SyncUpgradesHalfmoonReadToLinearizableRead) {
   // Without a sync, an old SSF's cursor hides concurrent writes; after appending a sync
   // record the read observes the present.
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   Seed(cluster, "X", "x0");
 
   RunScript(cluster, [](runtime::Cluster* c) -> sim::Task<void> {
@@ -207,7 +207,7 @@ TEST(Section44Test, SyncUpgradesHalfmoonReadToLinearizableRead) {
 TEST(Section42Test, ConsecutiveWriteCounterBreaksTiesWithinOneSsf) {
   // Two consecutive log-free writes to the *same* object by one SSF share a cursorTS; the
   // counter makes the second win (program order preserved for same-object writes).
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
 
   RunScript(cluster, [](runtime::Cluster* c) -> sim::Task<void> {
     Env f1 = MakeEnv(*c, "F1", 0);
@@ -221,7 +221,7 @@ TEST(Section42Test, ConsecutiveWriteCounterBreaksTiesWithinOneSsf) {
 TEST(Section42Test, RetriedWriteCannotOverwriteFresherData) {
   // A Halfmoon-write retry re-issues its conditional update with the same version tuple; data
   // written meanwhile by fresher SSFs must survive.
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
 
   RunScript(cluster, [](runtime::Cluster* c) -> sim::Task<void> {
     Env f1 = MakeEnv(*c, "F1", 0);

@@ -22,7 +22,7 @@ using testing::TestWorldOptions;
 // and storage footprints across two runs.
 TEST(IntegrationTest, EndToEndRunsAreBitReproducible) {
   auto run = [](uint64_t seed) {
-    runtime::ClusterConfig ccfg;
+    runtime::ClusterConfig ccfg = testing::ClusterConfigFromEnv();
     ccfg.seed = seed;
     runtime::Cluster cluster(ccfg);
     core::RuntimeConfig rcfg;

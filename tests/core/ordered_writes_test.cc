@@ -31,7 +31,7 @@ TEST(OrderedWritesTest, Figure8CommutationIsPrevented) {
   // Same interleaving as Figure 8, but with the extension on: F1's consecutive writes carry a
   // sync between them, so W(Y) is pinned after F2's R(Y) — and because W(X) lost its
   // conditional update, the dependent pair no longer commutes observably.
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   cluster.scheduler().Spawn([](runtime::Cluster* c) -> sim::Task<void> {
     Env f1 = MakeEnv(*c, "F1", 0, /*ordered=*/true);
     Env f2 = MakeEnv(*c, "F2", 1, /*ordered=*/false);
@@ -54,7 +54,7 @@ TEST(OrderedWritesTest, Figure8CommutationIsPrevented) {
 }
 
 TEST(OrderedWritesTest, SyncOnlyBetweenWritesToDifferentObjects) {
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   cluster.scheduler().Spawn([](runtime::Cluster* c) -> sim::Task<void> {
     Env f1 = MakeEnv(*c, "F1", 0, /*ordered=*/true);
     co_await InitSsf(f1, "");
@@ -72,7 +72,7 @@ TEST(OrderedWritesTest, SyncOnlyBetweenWritesToDifferentObjects) {
 TEST(OrderedWritesTest, InterveningReadSuppressesTheSync) {
   // A logged read between the writes already pins the order; the extension must not pay for
   // a second record.
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   cluster.scheduler().Spawn([](runtime::Cluster* c) -> sim::Task<void> {
     Env f1 = MakeEnv(*c, "F1", 0, /*ordered=*/true);
     co_await InitSsf(f1, "");
@@ -86,7 +86,7 @@ TEST(OrderedWritesTest, InterveningReadSuppressesTheSync) {
 }
 
 TEST(OrderedWritesTest, DisabledModeStaysLogFree) {
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   cluster.scheduler().Spawn([](runtime::Cluster* c) -> sim::Task<void> {
     Env f1 = MakeEnv(*c, "F1", 0, /*ordered=*/false);
     co_await InitSsf(f1, "");

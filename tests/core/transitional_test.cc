@@ -29,7 +29,7 @@ void RunScript(runtime::Cluster& cluster, sim::Task<void> script) {
 }
 
 TEST(TransitionalTest, WriteUpdatesBothVersioningSchemes) {
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   RunScript(cluster, [](runtime::Cluster* c) -> sim::Task<void> {
     Env f = MakeEnv(*c, "F", 0);
     co_await InitSsf(f, "");
@@ -41,7 +41,7 @@ TEST(TransitionalTest, WriteUpdatesBothVersioningSchemes) {
 }
 
 TEST(TransitionalTest, WriteUsesDeterministicVersionIds) {
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   RunScript(cluster, [](runtime::Cluster* c) -> sim::Task<void> {
     Env f = MakeEnv(*c, "F", 0);
     co_await InitSsf(f, "");
@@ -52,7 +52,7 @@ TEST(TransitionalTest, WriteUsesDeterministicVersionIds) {
 
 TEST(TransitionalTest, DualReadPrefersFresherLatestSlot) {
   // A Halfmoon-write-era update (LATEST) newer than the last write-log record must win.
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   RunScript(cluster, [](runtime::Cluster* c) -> sim::Task<void> {
     Env writer = MakeEnv(*c, "W", 0);
     co_await InitSsf(writer, "");
@@ -70,7 +70,7 @@ TEST(TransitionalTest, DualReadPrefersFresherLatestSlot) {
 }
 
 TEST(TransitionalTest, DualReadPrefersFresherVersionedPath) {
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   RunScript(cluster, [](runtime::Cluster* c) -> sim::Task<void> {
     Env hw = MakeEnv(*c, "HW", 0);
     co_await InitSsf(hw, "");
@@ -88,7 +88,7 @@ TEST(TransitionalTest, DualReadPrefersFresherVersionedPath) {
 }
 
 TEST(TransitionalTest, DualReadOfMissingObjectIsEmpty) {
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   RunScript(cluster, [](runtime::Cluster* c) -> sim::Task<void> {
     Env reader = MakeEnv(*c, "R", 0);
     co_await InitSsf(reader, "");
@@ -98,7 +98,7 @@ TEST(TransitionalTest, DualReadOfMissingObjectIsEmpty) {
 }
 
 TEST(TransitionalTest, DualReadWithOnlyLatestSlot) {
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   cluster.kv_state().Put(0, "k", "latest-only");
   RunScript(cluster, [](runtime::Cluster* c) -> sim::Task<void> {
     Env reader = MakeEnv(*c, "R", 0);
@@ -109,7 +109,7 @@ TEST(TransitionalTest, DualReadWithOnlyLatestSlot) {
 }
 
 TEST(TransitionalTest, TransitionalReadLogsItsResult) {
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   cluster.kv_state().Put(0, "k", "v");
   RunScript(cluster, [](runtime::Cluster* c) -> sim::Task<void> {
     Env f = MakeEnv(*c, "F", 0);
@@ -124,7 +124,7 @@ TEST(TransitionalTest, TransitionalReadLogsItsResult) {
 TEST(TransitionalTest, TransitionalWriteReplayIsIdempotent) {
   // Re-executing a transitional write (same instance, recovered step log) must not create a
   // second version or bump the LATEST slot again.
-  runtime::Cluster cluster(runtime::ClusterConfig{});
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
   RunScript(cluster, [](runtime::Cluster* c) -> sim::Task<void> {
     Env f = MakeEnv(*c, "F", 0);
     co_await InitSsf(f, "");

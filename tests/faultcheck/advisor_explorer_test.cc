@@ -23,11 +23,12 @@ using faultcheck::Explorer;
 using faultcheck::ExplorerOptions;
 using faultcheck::ExplorerReport;
 using faultcheck::FaultPoint;
+using faultcheck::MatrixOptions;
 using faultcheck::Schedule;
 using faultcheck::Workload;
 
 ExplorerOptions AdvisorOptions(ProtocolKind from, ProtocolKind to) {
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = from;
   options.advisor_mode = true;
   options.crash_plus_advisor = true;
@@ -80,7 +81,7 @@ TEST(AdvisorExplorerTest, CounterSurvivesAdvisorSwitchSchedulesWithTwoShards) {
   // records and its write-log records can land on different shards.
   ExplorerOptions options =
       AdvisorOptions(ProtocolKind::kHalfmoonRead, ProtocolKind::kHalfmoonWrite);
-  options.log_shards = 2;
+  options.cluster.log_shards = 2;
   ExpectAdvisorSweepPasses(faultcheck::CounterWorkload(), Bounded(options, 3, 5, 3));
 }
 

@@ -25,6 +25,7 @@ using faultcheck::Explorer;
 using faultcheck::ExplorerOptions;
 using faultcheck::ExplorerReport;
 using faultcheck::FaultPoint;
+using faultcheck::MatrixOptions;
 using faultcheck::PrintReport;
 using faultcheck::Schedule;
 using faultcheck::Workload;
@@ -40,9 +41,10 @@ const ProtocolKind kFaultTolerant[] = {
 // explorer_test.cc and the node-kill compositions are part of the family itself (the
 // explorer pairs every round trigger with kills at hit+1 and hit+2 per domain).
 ExplorerOptions CheckpointSweepOptions(ProtocolKind protocol) {
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = protocol;
-  options.durable = 1;
+  options.cluster.durable = true;
+  options.cluster.checkpoint = true;
   options.checkpoints = true;
   options.kill_domains = {"store", "seq"};
   options.crash_pairs = false;
@@ -148,7 +150,8 @@ TEST(CheckpointGuardDeathTest, CheckpointPointsRequireTheCheckpointTier) {
   // A round trigger against a cluster without the checkpoint tier has no service to drive —
   // arming one must abort loudly instead of silently exploring nothing.
   ExplorerOptions options = CheckpointSweepOptions(ProtocolKind::kHalfmoonRead);
-  options.durable = 0;
+  options.cluster.durable = false;
+  options.cluster.checkpoint = false;
   Explorer explorer(faultcheck::CounterWorkload(), options);
   Schedule schedule;
   schedule.points.push_back(FaultPoint::Checkpoint(0));

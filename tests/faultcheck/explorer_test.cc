@@ -21,6 +21,7 @@ using faultcheck::Explorer;
 using faultcheck::ExplorerOptions;
 using faultcheck::ExplorerReport;
 using faultcheck::FaultPoint;
+using faultcheck::MatrixOptions;
 using faultcheck::PrintReport;
 using faultcheck::Schedule;
 using faultcheck::Workload;
@@ -60,20 +61,20 @@ INSTANTIATE_TEST_SUITE_P(Protocols, ExplorerSweepTest, ::testing::ValuesIn(kFaul
                          });
 
 TEST_P(ExplorerSweepTest, CounterSurvivesDepth2Schedules) {
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = GetParam();
   ExpectSweepPasses(faultcheck::CounterWorkload(), Bounded(options));
 }
 
 TEST_P(ExplorerSweepTest, TransferSurvivesDepth2Schedules) {
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = GetParam();
   ExpectSweepPasses(faultcheck::TransferWorkload(), Bounded(options, 2, 4, 4));
 }
 
 TEST_P(ExplorerSweepTest, WorkflowSurvivesDepth2Schedules) {
   // Heavier workload (nested Invoke/InvokeAll): wider strides in smoke mode.
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = GetParam();
   ExpectSweepPasses(faultcheck::WorkflowWorkload(), Bounded(options, 5, 7, 3));
 }
@@ -81,42 +82,42 @@ TEST_P(ExplorerSweepTest, WorkflowSurvivesDepth2Schedules) {
 TEST_P(ExplorerSweepTest, CounterSurvivesDepth2SchedulesWithTwoShards) {
   // The same sweep against a tag-partitioned log: every schedule must still pass the oracle
   // when records interleave across two per-shard sequencers.
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = GetParam();
-  options.log_shards = 2;
+  options.cluster.log_shards = 2;
   ExpectSweepPasses(faultcheck::CounterWorkload(), Bounded(options));
 }
 
 TEST_P(ExplorerSweepTest, TransferSurvivesDepth2SchedulesWithFourShards) {
   // Four shards on the multi-object workload: cross-shard cond-appends and GC races.
   // Smoke-strided in tier-1; exhaustive under HM_FAULTCHECK_FULL=1 like the rest.
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = GetParam();
-  options.log_shards = 4;
+  options.cluster.log_shards = 4;
   ExpectSweepPasses(faultcheck::TransferWorkload(), Bounded(options, 2, 4, 4));
 }
 
 TEST_P(ExplorerSweepTest, CounterSurvivesDepth2SchedulesWithPipelinedAppends) {
-  // Pipelined group commit (HM_PIPELINE-style depth 4): batch.depart crashes race the
-  // victim's retry against a round still in flight, and crash pairs land across two
-  // concurrently in-flight rounds. Every schedule must still pass the oracle.
-  ExplorerOptions options;
+  // Pipelined group commit (depth 4): batch.depart crashes race the victim's retry against
+  // a round still in flight, and crash pairs land across two concurrently in-flight rounds.
+  // Every schedule must still pass the oracle.
+  ExplorerOptions options = MatrixOptions();
   options.protocol = GetParam();
-  options.pipeline_depth = 4;
+  options.cluster.append_batch_pipeline = 4;
   ExpectSweepPasses(faultcheck::CounterWorkload(), Bounded(options));
 }
 
 TEST_P(ExplorerSweepTest, TransferSurvivesDepth2SchedulesWithPipelinedAppends) {
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = GetParam();
-  options.pipeline_depth = 4;
+  options.cluster.append_batch_pipeline = 4;
   ExpectSweepPasses(faultcheck::TransferWorkload(), Bounded(options, 2, 4, 4));
 }
 
 TEST_P(ExplorerSweepTest, WorkflowSurvivesDepth2SchedulesWithPipelinedAppends) {
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = GetParam();
-  options.pipeline_depth = 4;
+  options.cluster.append_batch_pipeline = 4;
   ExpectSweepPasses(faultcheck::WorkflowWorkload(), Bounded(options, 5, 7, 3));
 }
 
@@ -125,9 +126,9 @@ TEST(ExplorerDeterminismTest, BatchSitesAppearAndSurviveCrashesUnderPipelining) 
   // and crashing at each must keep the oracle green (the depart-crash victim's record still
   // departs with the round, so its retry races the in-flight commit — the duplicate-append
   // hazard class).
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = ProtocolKind::kHalfmoonRead;
-  options.pipeline_depth = 4;
+  options.cluster.append_batch_pipeline = 4;
   Explorer explorer(faultcheck::CounterWorkload(), options);
 
   Explorer::RunOutcome baseline = explorer.RunSchedule(Schedule{}, /*record_trace=*/true);
@@ -150,7 +151,7 @@ TEST(ExplorerDeterminismTest, BatchSitesAppearAndSurviveCrashesUnderPipelining) 
 }
 
 TEST(ExplorerDeterminismTest, SameScheduleSameSeedSameOutcome) {
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = ProtocolKind::kHalfmoonRead;
   Explorer explorer(faultcheck::CounterWorkload(), options);
 
@@ -175,7 +176,7 @@ TEST(ExplorerDeterminismTest, SameScheduleSameSeedSameOutcome) {
 TEST(ExplorerDeterminismTest, PrintedScheduleReplaysIdentically) {
   // The printed form is the reproducibility contract: ToString -> Parse -> RunSchedule must
   // reproduce the execution exactly.
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = ProtocolKind::kBoki;
   Explorer explorer(faultcheck::CounterWorkload(), options);
 
@@ -202,7 +203,7 @@ TEST(ExplorerDeterminismTest, PrintedScheduleReplaysIdentically) {
 }
 
 TEST(ExplorerDeterminismTest, CrashPairsActuallyCrashTwice) {
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = ProtocolKind::kHalfmoonWrite;
   Explorer explorer(faultcheck::CounterWorkload(), options);
 

@@ -13,6 +13,7 @@
 #include "src/faultcheck/sites.h"
 #include "src/faultcheck/workload.h"
 #include "src/runtime/failure_injector.h"
+#include "tests/faultcheck/sweep_mode.h"
 
 namespace halfmoon {
 namespace {
@@ -20,6 +21,7 @@ namespace {
 using core::ProtocolKind;
 using faultcheck::Explorer;
 using faultcheck::ExplorerOptions;
+using faultcheck::MatrixOptions;
 using faultcheck::Schedule;
 using runtime::FailureInjector;
 
@@ -134,7 +136,7 @@ TEST(CrashSiteAuditTest, EveryTracedSiteIsRegistered) {
          {ProtocolKind::kUnsafe, ProtocolKind::kBoki, ProtocolKind::kHalfmoonRead,
           ProtocolKind::kHalfmoonWrite, ProtocolKind::kTransitional}) {
       for (bool switching : {false, true}) {
-        ExplorerOptions options;
+        ExplorerOptions options = MatrixOptions();
         options.protocol = protocol;
         options.enable_switching = switching;
         Explorer explorer(workload, options);

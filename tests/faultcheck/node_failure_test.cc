@@ -23,6 +23,7 @@ using faultcheck::Explorer;
 using faultcheck::ExplorerOptions;
 using faultcheck::ExplorerReport;
 using faultcheck::FaultPoint;
+using faultcheck::MatrixOptions;
 using faultcheck::PrintReport;
 using faultcheck::Schedule;
 using faultcheck::Workload;
@@ -38,9 +39,9 @@ const ProtocolKind kFaultTolerant[] = {
 // which under durable = 1 re-checks every crash site against the write-ahead ack gating).
 // Depth-2 families are covered by explorer_test.cc and would triple the runtime here.
 ExplorerOptions DurableKillOptions(ProtocolKind protocol) {
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = protocol;
-  options.durable = 1;
+  options.cluster.durable = true;
   options.node_kills = true;
   options.kill_domains = {"store", "seq", "fn0", "fn1"};
   options.crash_pairs = false;
@@ -149,7 +150,8 @@ TEST(NodeKillGuardDeathTest, KillsRequireDurableCluster) {
   // A kill against a volatile cluster has no journal to replay from — arming one must abort
   // loudly instead of silently losing state.
   ExplorerOptions options = DurableKillOptions(ProtocolKind::kHalfmoonRead);
-  options.durable = 0;
+  options.cluster.durable = false;
+  options.cluster.checkpoint = false;
   Explorer explorer(faultcheck::CounterWorkload(), options);
   Schedule schedule;
   schedule.points.push_back(FaultPoint::NodeKill("store", 0));

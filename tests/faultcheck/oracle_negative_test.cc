@@ -21,10 +21,11 @@ using faultcheck::Explorer;
 using faultcheck::ExplorerOptions;
 using faultcheck::ExplorerReport;
 using faultcheck::FailingSchedule;
+using faultcheck::MatrixOptions;
 using faultcheck::Schedule;
 
 TEST(OracleNegativeTest, UnsafeBaselineFailsTheSweep) {
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = ProtocolKind::kUnsafe;
   Explorer explorer(faultcheck::CounterWorkload(), Bounded(options));
   ExplorerReport report = explorer.Run();
@@ -51,7 +52,7 @@ TEST(OracleNegativeTest, UnsafeBaselineFailsTheSweep) {
 TEST(OracleNegativeTest, DropCommitAppendFailsEvenWithoutFaults) {
   // Suppressing the commit append makes Halfmoon-read writes invisible to the log-free read
   // path: later invocations read stale state. The oracle must catch this at depth 0.
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = ProtocolKind::kHalfmoonRead;
   options.drop_commit_append = true;
   Explorer explorer(faultcheck::CounterWorkload(), options);
@@ -61,7 +62,7 @@ TEST(OracleNegativeTest, DropCommitAppendFailsEvenWithoutFaults) {
 }
 
 TEST(OracleNegativeTest, DropCommitAppendFailsTheSweep) {
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = ProtocolKind::kHalfmoonRead;
   options.drop_commit_append = true;
   // Every schedule fails here; skip shrinking (it re-runs per failure) and bound tightly.

@@ -12,10 +12,20 @@
 
 #include "src/common/env.h"
 #include "src/faultcheck/explorer.h"
+#include "tests/testing/config_from_env.h"
 
 namespace halfmoon::faultcheck {
 
 inline bool FullSweep() { return EnvFlag("HM_FAULTCHECK_FULL"); }
+
+// The options every suite starts from: the explorer's default cluster with the CI matrix
+// applied (testing::ClusterConfigFromEnv), so each HM_SHARDS/HM_PIPELINE/HM_DURABLE/
+// HM_CHECKPOINT cell reaches every cluster the sweeps spin up.
+inline ExplorerOptions MatrixOptions() {
+  ExplorerOptions options;
+  options.cluster = testing::ClusterConfigFromEnv(options.cluster);
+  return options;
+}
 
 // Applies smoke bounds unless the full sweep is requested. The defaults keep each suite in
 // tier-1 time budget; pass larger strides for heavyweight workloads.

@@ -20,11 +20,12 @@ using faultcheck::Explorer;
 using faultcheck::ExplorerOptions;
 using faultcheck::ExplorerReport;
 using faultcheck::FaultPoint;
+using faultcheck::MatrixOptions;
 using faultcheck::Schedule;
 using faultcheck::Workload;
 
 ExplorerOptions SwitchingOptions(ProtocolKind from, ProtocolKind to) {
-  ExplorerOptions options;
+  ExplorerOptions options = MatrixOptions();
   options.protocol = from;
   options.enable_switching = true;
   options.crash_plus_switch = true;
@@ -73,14 +74,14 @@ TEST(SwitchExplorerTest, CounterSurvivesWriteToReadSwitchSchedulesWithTwoShards)
   // cross-shard merge order too.
   ExplorerOptions options =
       SwitchingOptions(ProtocolKind::kHalfmoonWrite, ProtocolKind::kHalfmoonRead);
-  options.log_shards = 2;
+  options.cluster.log_shards = 2;
   ExpectSwitchSweepPasses(faultcheck::CounterWorkload(), Bounded(options, 3, 5, 3));
 }
 
 TEST(SwitchExplorerTest, CounterSurvivesReadToWriteSwitchSchedulesWithTwoShards) {
   ExplorerOptions options =
       SwitchingOptions(ProtocolKind::kHalfmoonRead, ProtocolKind::kHalfmoonWrite);
-  options.log_shards = 2;
+  options.cluster.log_shards = 2;
   ExpectSwitchSweepPasses(faultcheck::CounterWorkload(), Bounded(options, 3, 5, 3));
 }
 

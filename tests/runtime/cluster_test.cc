@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/sim/sync.h"
+#include "tests/testing/config_from_env.h"
 
 namespace halfmoon::runtime {
 namespace {
@@ -21,7 +22,7 @@ FieldMap OpFields(const std::string& op) {
 }
 
 TEST(ClusterTest, BuildsConfiguredTopology) {
-  ClusterConfig config;
+  ClusterConfig config = testing::ClusterConfigFromEnv();
   config.function_nodes = 8;
   Cluster cluster(config);
   EXPECT_EQ(cluster.node_count(), 8);
@@ -29,7 +30,7 @@ TEST(ClusterTest, BuildsConfiguredTopology) {
 }
 
 TEST(ClusterTest, PickNodeRoundRobins) {
-  ClusterConfig config;
+  ClusterConfig config = testing::ClusterConfigFromEnv();
   config.function_nodes = 3;
   Cluster cluster(config);
   EXPECT_EQ(cluster.PickNode().id(), 0);
@@ -39,7 +40,7 @@ TEST(ClusterTest, PickNodeRoundRobins) {
 }
 
 TEST(ClusterTest, IndexPropagationReachesAllNodes) {
-  ClusterConfig config;
+  ClusterConfig config = testing::ClusterConfigFromEnv();
   config.function_nodes = 4;
   Cluster cluster(config);
   cluster.scheduler().Spawn([](Cluster* c) -> sim::Task<void> {
@@ -53,7 +54,7 @@ TEST(ClusterTest, IndexPropagationReachesAllNodes) {
 }
 
 TEST(ClusterTest, RunningFrontierTracksInitStream) {
-  Cluster cluster(ClusterConfig{});
+  Cluster cluster(testing::ClusterConfigFromEnv());
   // Empty init stream: the frontier is the next seqnum.
   EXPECT_EQ(cluster.RunningFrontier(), cluster.log_space().next_seqnum());
 
@@ -86,7 +87,7 @@ TEST(ClusterTest, RunningFrontierTracksInitStream) {
 }
 
 TEST(ClusterTest, StepLogTrimQueueDrains) {
-  Cluster cluster(ClusterConfig{});
+  Cluster cluster(testing::ClusterConfigFromEnv());
   cluster.EnqueueStepLogTrim("a");
   cluster.EnqueueStepLogTrim("b");
   std::vector<std::string> drained = cluster.DrainStepLogTrimQueue();
@@ -96,7 +97,7 @@ TEST(ClusterTest, StepLogTrimQueueDrains) {
 
 TEST(ClusterTest, DeterministicForFixedSeed) {
   auto run = [](uint64_t seed) {
-    ClusterConfig config;
+    ClusterConfig config = testing::ClusterConfigFromEnv();
     config.seed = seed;
     Cluster cluster(config);
     SimTime finish = 0;
@@ -136,7 +137,7 @@ struct GatingRun {
 };
 
 GatingRun RunAppendLoad(bool durable) {
-  ClusterConfig config;
+  ClusterConfig config = testing::ClusterConfigFromEnv();
   config.seed = 5;
   config.function_nodes = 4;
   config.durable = durable;
@@ -184,11 +185,18 @@ TEST(ClusterTest, DurableGatingDelaysAcksButKeepsContent) {
   EXPECT_GT(durable.median_latency, plain.median_latency);  // The flush gate is on the ack.
 }
 
-TEST(ClusterDeathTest, CheckpointWithoutDurableIsRejected) {
-  ClusterConfig config;
-  config.durable = false;
-  config.checkpoint = true;
-  EXPECT_DEATH(Cluster cluster(config), "checkpoint=true requires durable=true");
+// A config that would run a different system than asked for, or hang the simulation (a zero
+// batch cap or slice budget makes every round empty, forever), dies at construction.
+TEST(ClusterDeathTest, IncoherentConfigIsRejected) {
+  ClusterConfig no_journal;
+  no_journal.checkpoint = true;
+  EXPECT_DEATH(Cluster cluster(no_journal), "checkpoint=true requires durable=true");
+  ClusterConfig empty_rounds;
+  empty_rounds.append_batch_max = 0;
+  EXPECT_DEATH(Cluster cluster(empty_rounds), "append_batch_max must be >= 1");
+  ClusterConfig empty_slices;
+  empty_slices.checkpoint_slice = 0;
+  EXPECT_DEATH(Cluster cluster(empty_slices), "checkpoint_slice must be >= 1");
 }
 
 TEST(FailureInjectorTest, ScheduledHitsFireExactlyOnce) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/runtime/cluster.h"
+#include "tests/testing/config_from_env.h"
 
 namespace halfmoon::runtime {
 namespace {
@@ -54,7 +55,7 @@ SeqNum FrontierByScan(Cluster& cluster, const std::unordered_set<std::string>& f
 }
 
 TEST(FrontierTest, RandomizedIncrementalFrontierMatchesInitStreamScan) {
-  Cluster cluster(ClusterConfig{});
+  Cluster cluster(testing::ClusterConfigFromEnv());
   Rng rng(20260806);
   std::vector<std::string> running;
   std::unordered_set<std::string> finished;
@@ -86,7 +87,7 @@ TEST(FrontierTest, RandomizedIncrementalFrontierMatchesInitStreamScan) {
 TEST(FrontierTest, TrackingEntriesStayBoundedUnderChurn) {
   // Regression for the unbounded finished_instances_ growth: after each GC-style prune, the
   // completion bookkeeping must hold nothing — not one entry per instance ever finished.
-  Cluster cluster(ClusterConfig{});
+  Cluster cluster(testing::ClusterConfigFromEnv());
   int next_instance = 0;
   for (int cycle = 0; cycle < 200; ++cycle) {
     for (int i = 0; i < 10; ++i) {
@@ -113,7 +114,7 @@ struct PropagationResult {
 };
 
 PropagationResult RunConcurrentAppends(uint64_t seed, bool coalesce) {
-  ClusterConfig config;
+  ClusterConfig config = testing::ClusterConfigFromEnv();
   config.seed = seed;
   config.function_nodes = 4;
   config.coalesce_index_propagation = coalesce;

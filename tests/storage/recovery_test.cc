@@ -16,6 +16,7 @@
 #include "src/sharedlog/log_record.h"
 #include "src/sharedlog/sharded_log.h"
 #include "src/sim/task.h"
+#include "tests/testing/config_from_env.h"
 
 namespace halfmoon::runtime {
 namespace {
@@ -79,7 +80,7 @@ uint64_t StateChecksum(Cluster& cluster, const std::vector<std::string>& kv_keys
 }
 
 ClusterConfig DurableConfig() {
-  ClusterConfig config;
+  ClusterConfig config = testing::ClusterConfigFromEnv();
   config.function_nodes = 2;
   config.workers_per_node = 4;
   config.durable = true;

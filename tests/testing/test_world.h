@@ -11,6 +11,7 @@
 #include "src/common/check.h"
 #include "src/core/ssf_runtime.h"
 #include "src/runtime/cluster.h"
+#include "tests/testing/config_from_env.h"
 
 namespace halfmoon::testing {
 
@@ -26,18 +27,15 @@ struct TestWorldOptions {
   bool enable_switching = false;
   int function_nodes = 4;
   int workers_per_node = 8;
-  // Shared-log shard count; 0 = inherit the environment default (HM_SHARDS, usually 1).
-  int log_shards = 0;
 };
 
 class TestWorld {
  public:
   explicit TestWorld(const TestWorldOptions& options = TestWorldOptions{}) {
-    runtime::ClusterConfig ccfg;
+    runtime::ClusterConfig ccfg = ClusterConfigFromEnv();
     ccfg.seed = options.seed;
     ccfg.function_nodes = options.function_nodes;
     ccfg.workers_per_node = options.workers_per_node;
-    if (options.log_shards > 0) ccfg.log_shards = options.log_shards;
     cluster_ = std::make_unique<runtime::Cluster>(ccfg);
 
     core::RuntimeConfig rcfg;
