@@ -94,11 +94,7 @@ LogRecordPtr LogSpace::InstallRecord(SimTime now, SeqNum seqnum, std::vector<Tag
   // in global commit order, so pushing to the back keeps every stream sorted — also on shards
   // other than the sequencing one.
   for (TagId tag : record->tags) {
-    TagStream& stream = TagOwner(tag)->StreamFor(tag);
-    if (stream.seqnums.empty()) {
-      shared_->live_tags.emplace(std::string_view(shared_->tags.Name(tag)), tag);
-    }
-    stream.seqnums.push_back(seqnum);
+    TagOwner(tag)->StreamFor(tag).seqnums.push_back(seqnum);
   }
   stored.record = record;
   records_.emplace(seqnum, std::move(stored));
@@ -169,9 +165,6 @@ void LogSpace::RestoreRecordFuzzyLocal(SimTime now, SeqNum seqnum, std::vector<T
     TagStream& stream = TagOwner(tag)->StreamFor(tag);
     auto pos = std::lower_bound(stream.seqnums.begin(), stream.seqnums.end(), seqnum);
     if (pos != stream.seqnums.end() && *pos == seqnum) continue;  // Image already has it.
-    if (stream.seqnums.empty()) {
-      shared_->live_tags.emplace(std::string_view(shared_->tags.Name(tag)), tag);
-    }
     stream.seqnums.insert(pos, seqnum);
     ++stored.live_tag_refs;
   }
@@ -192,9 +185,6 @@ void LogSpace::RestoreTrimLocal(SimTime now, TagId tag, SeqNum upto, size_t base
   // above release fewer records than the original did, but the journaled base_after is the
   // exact base the original trim left behind — logical offsets stay correct either way.
   if (stream.base < base_after) stream.base = base_after;
-  if (stream.seqnums.empty() && stream.base > 0) {
-    shared_->live_tags.erase(std::string_view(shared_->tags.Name(tag)));
-  }
 }
 
 size_t LogSpace::CheckpointTag(TagId tag, storage::CheckpointStore* store, int64_t* frames) {
@@ -255,9 +245,6 @@ void LogSpace::RestoreCheckpointStreamLocal(SimTime now, TagId tag, size_t base,
     stream.seqnums.push_back(seqnum);
     SeqOwner(seqnum)->TakeRefLocal(seqnum);
     if (shared_->watermark < seqnum) shared_->watermark = seqnum;
-  }
-  if (!stream.seqnums.empty()) {
-    shared_->live_tags.emplace(std::string_view(shared_->tags.Name(tag)), tag);
   }
 }
 
@@ -412,23 +399,26 @@ LogRecordPtr LogSpace::FindFirstByStep(TagId tag, OpId op, int64_t step) const {
 }
 
 std::vector<TagId> LogSpace::LiveTagsWithPrefix(std::string_view prefix) const {
+  // A stream lives only on its tag's owning shard, so walking every shard's table visits
+  // each live stream exactly once. Emptiness is checked first: it reads the contiguous
+  // table, while the name lives behind a pointer.
+  const TagRegistry& tags = shared_->tags;
   std::vector<TagId> out;
-  // live_tags is name-ordered, so all matches form one contiguous range starting at the
-  // first name >= prefix; results come out in name order for free. The index is shared
-  // state, so the scan spans every shard's streams.
-  for (auto it = shared_->live_tags.lower_bound(prefix); it != shared_->live_tags.end(); ++it) {
-    if (it->first.substr(0, prefix.size()) != prefix) break;
-    out.push_back(it->second);
+  for (const LogSpace* shard : peers_) {
+    for (TagId tag = 0; tag < shard->streams_.size(); ++tag) {
+      if (!shard->streams_[tag].seqnums.empty() && tags.Name(tag).starts_with(prefix)) {
+        out.push_back(tag);
+      }
+    }
   }
+  std::sort(out.begin(), out.end(),
+            [&tags](TagId a, TagId b) { return tags.Name(a) < tags.Name(b); });
   return out;
 }
 
 std::vector<std::string> LogSpace::StreamTagsWithPrefix(std::string_view prefix) const {
   std::vector<std::string> names;
-  for (auto it = shared_->live_tags.lower_bound(prefix); it != shared_->live_tags.end(); ++it) {
-    if (it->first.substr(0, prefix.size()) != prefix) break;
-    names.emplace_back(it->first);
-  }
+  for (TagId tag : LiveTagsWithPrefix(prefix)) names.push_back(shared_->tags.Name(tag));
   return names;
 }
 
@@ -517,15 +507,13 @@ size_t LogSpace::TrimLocal(SimTime now, TagId tag, SeqNum upto, bool journal) {
     ++stream.base;
     ++released;
   }
-  if (stream.seqnums.empty() && stream.base > 0) {
-    shared_->live_tags.erase(std::string_view(shared_->tags.Name(tag)));
-  }
   // Trims are journaled fire-and-forget: nothing external depends on a trim being durable,
   // and a trim lost to a crash merely resurrects garbage the next GC pass re-collects. The
   // resulting base rides along so fuzzy replay (DESIGN.md §14) can restore logical offsets
   // without re-counting pops the image may have absorbed.
   if (journal && released > 0 && shared_->durability != nullptr) {
-    std::string payload;
+    std::string& payload = shared_->payload;
+    payload.clear();
     storage::PutU64(&payload, tag);
     storage::PutU64(&payload, upto);
     storage::PutU64(&payload, stream.base);
@@ -545,6 +533,14 @@ size_t LogSpace::IndexEntries() const {
   size_t total = 0;
   for (const TagStream& stream : streams_) {
     total += stream.seqnums.size();
+  }
+  return total;
+}
+
+size_t LogSpace::IndexCapacity() const {
+  size_t total = 0;
+  for (const TagStream& stream : streams_) {
+    total += stream.seqnums.capacity();
   }
   return total;
 }

@@ -24,21 +24,22 @@
 //     TagId only, so no std::string is built or hashed per operation. The string-named
 //     overloads below are convenience entry points for tests and cold bootstrap code; they
 //     intern (writes) or look up (reads) the name and forward to the TagId path.
-//   * A sub-stream keeps only its untrimmed seqnum suffix (deque + base offset), so trimmed
-//     history costs no memory while logical logCondAppend offsets stay stable.
-//   * Live stream tags are mirrored in a name-ordered index, so prefix scans (the GC's
-//     per-object write-log enumeration) are range scans instead of full-table scans.
+//   * A sub-stream keeps only its untrimmed seqnum suffix (a flat run + base offset), so
+//     trimmed history costs no memory while logical logCondAppend offsets stay stable.
+//   * No per-tag side index tracks which streams are live: prefix scans (the GC's per-object
+//     write-log enumeration, once per pass) scan the dense stream tables instead, so starting
+//     and trimming a stream — once per invocation — touches nothing but the stream itself.
 
 #ifndef HALFMOON_SHAREDLOG_LOG_SPACE_H_
 #define HALFMOON_SHAREDLOG_LOG_SPACE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -58,14 +59,13 @@ class LogSpace {
  public:
   // State shared by every shard of one logical log: the interners, the storage gauge, the
   // seqnum watermark (largest encoded seqnum committed so far — the cross-shard merge rule),
-  // the name-ordered live-tag index, and the commit listener. A standalone LogSpace owns its
-  // Shared privately; a ShardedLog owns one instance for all of its shards.
+  // and the commit listener. A standalone LogSpace owns its Shared privately; a ShardedLog
+  // owns one instance for all of its shards.
   struct Shared {
     TagRegistry tags;
     TagRegistry ops;
     metrics::StorageGauge gauge;
     SeqNum watermark = 0;  // 0 = nothing committed; first encoded seqnum is >= 1.
-    std::map<std::string_view, TagId> live_tags;
     std::function<void(SeqNum)> commit_listener;
     // Non-null when the log runs over the simulated durable medium (DESIGN.md §13): every
     // commit journals a kRecord frame, every releasing trim a kTrim frame. Null (the
@@ -178,9 +178,10 @@ class LogSpace {
     return FindFirstByStep(tag, shared_->ops.Find(op), step);
   }
 
-  // Ids of all live streams whose name starts with `prefix` (GC scan over per-object write
-  // logs). Served by an ordered range scan over the live-tag index: O(log streams + matches);
-  // results are in name order. The index is shared, so results span all shards.
+  // Ids of all live (non-empty) streams whose name starts with `prefix`, in name order (GC
+  // scan over per-object write logs). Scans every shard's dense stream table, then sorts the
+  // matches by name: O(interned tags + matches · log matches) per call, paid once per GC pass
+  // instead of an ordered-index update on every stream start and trim.
   std::vector<TagId> LiveTagsWithPrefix(std::string_view prefix) const;
 
   // Name-returning variant of LiveTagsWithPrefix, for tests and display.
@@ -279,7 +280,7 @@ class LogSpace {
   // a kCkptRecord body for every referenced record not yet emitted this round (records are
   // multi-tag, bodies are written once: each record carries the stamp of the last round that
   // emitted it, compared against Shared::checkpoint_round), then one kCkptTagStream frame
-  // with the stream's base and live seqnums. Fully-trimmed streams (empty deque, base > 0)
+  // with the stream's base and live seqnums. Fully-trimmed streams (empty run, base > 0)
   // are emitted too: their base carries the logical offsets logCondAppend depends on.
   // Returns the walk-budget items consumed (0 when the tag has no stream here); increments
   // *frames per frame appended.
@@ -294,7 +295,7 @@ class LogSpace {
                                const std::vector<SeqNum>& seqnums);
 
   // Drops THIS shard's volatile record store and sub-stream indices (node loss). The caller
-  // (ShardedLog::ResetVolatile) resets the shared state — gauge, live tags, watermark.
+  // (ShardedLog::ResetVolatile) resets the shared state — gauge and watermark.
   void ResetShardVolatile();
 
   // Smallest seqnum the next append could receive; strictly greater than every committed
@@ -311,6 +312,10 @@ class LogSpace {
   // the old keep-forever index).
   size_t IndexEntries() const;
 
+  // Seqnum slots allocated across this shard's sub-stream indices (live entries, a not yet
+  // compacted dead prefix, and spare capacity). A fully trimmed stream holds none.
+  size_t IndexCapacity() const;
+
   int64_t CurrentBytes() const { return shared_->gauge.CurrentBytes(); }
   metrics::StorageGauge& gauge() { return shared_->gauge; }
 
@@ -323,16 +328,54 @@ class LogSpace {
   }
 
  private:
+  // A sorted run of seqnums in one flat buffer: the live entries are buf_[head_, end). Popping
+  // the front only advances head_; the dead prefix is compacted away once it is at least half
+  // the buffer (amortized O(1) per pop), and a run popped to empty frees its buffer, so a
+  // fully trimmed stream holds no index memory. Not a std::deque: that allocates a map and a
+  // node even when empty, and its move constructor may throw, so streams_ growth would copy
+  // every stream (DESIGN.md §7).
+  class SeqRun {
+   public:
+    using const_iterator = std::vector<SeqNum>::const_iterator;
+
+    const_iterator begin() const { return buf_.begin() + static_cast<ptrdiff_t>(head_); }
+    const_iterator end() const { return buf_.end(); }
+    size_t size() const { return buf_.size() - head_; }
+    bool empty() const { return head_ == buf_.size(); }
+    SeqNum front() const { return buf_[head_]; }
+    SeqNum back() const { return buf_.back(); }
+    SeqNum operator[](size_t i) const { return buf_[head_ + i]; }
+    size_t capacity() const { return buf_.capacity(); }
+
+    void push_back(SeqNum seqnum) { buf_.push_back(seqnum); }
+    void insert(const_iterator pos, SeqNum seqnum) { buf_.insert(pos, seqnum); }
+    void pop_front() {
+      if (++head_ == buf_.size()) {
+        std::vector<SeqNum>().swap(buf_);
+        head_ = 0;
+      } else if (head_ * 2 >= buf_.size()) {
+        buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+
+   private:
+    std::vector<SeqNum> buf_;
+    size_t head_ = 0;
+  };
+
   struct TagStream {
     // Untrimmed seqnums appended under this tag, in order. The logical offset of seqnums[i]
     // in the stream's full history is base + i: logical offsets for logCondAppend are stable
     // positions even after the trimmed prefix is compacted away.
-    std::deque<SeqNum> seqnums;
+    SeqRun seqnums;
     // Number of entries trimmed (and freed) from the front of the stream's history.
     size_t base = 0;
 
     size_t length() const { return base + seqnums.size(); }
   };
+  static_assert(std::is_nothrow_move_constructible_v<TagStream>,
+                "streams_ growth must move streams, not copy them");
 
   std::vector<TagId> InternAll(std::vector<std::string> names) {
     std::vector<TagId> ids;
@@ -384,9 +427,9 @@ class LogSpace {
   size_t TrimLocal(SimTime now, TagId tag, SeqNum upto, bool journal);
 
   // The shared body of AppendLocal and RestoreRecordLocal: builds the immutable record and
-  // installs it into the record store, the per-tag sub-streams, the live-tag index, and the
-  // storage gauge — everything EXCEPT seqnum allocation, journaling, and commit notification,
-  // which is exactly what differs between a live append and a journal replay.
+  // installs it into the record store, the per-tag sub-streams, and the storage gauge —
+  // everything EXCEPT seqnum allocation, journaling, and commit notification, which is
+  // exactly what differs between a live append and a journal replay.
   LogRecordPtr InstallRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
                              FieldMap fields);
   // Encodes the kRecord / kCkptRecord payload (they share one encoding: seqnum, tags, fields)

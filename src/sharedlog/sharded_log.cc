@@ -33,6 +33,12 @@ size_t ShardedLog::IndexEntries() const {
   return total;
 }
 
+size_t ShardedLog::IndexCapacity() const {
+  size_t total = 0;
+  for (const auto& shard : shards_) total += shard->IndexCapacity();
+  return total;
+}
+
 void ShardedLog::AttachDurability(storage::DurabilityService* svc) {
   shared_.durability = svc;
   if (svc == nullptr) {
@@ -49,7 +55,6 @@ void ShardedLog::AttachDurability(storage::DurabilityService* svc) {
 
 void ShardedLog::ResetVolatile(SimTime now) {
   shared_.gauge.Add(now, -shared_.gauge.CurrentBytes());
-  shared_.live_tags.clear();
   shared_.watermark = 0;
   for (auto& shard : shards_) shard->ResetShardVolatile();
 }

@@ -1,10 +1,10 @@
 // Tag-partitioned sharded shared log (DESIGN.md §9).
 //
 // A ShardedLog owns N LogSpace shards plus the state they share (interners, storage gauge,
-// seqnum watermark, live-tag index, commit listener). Tags are partitioned across shards by a
-// pure function of the tag name (TagRegistry::ShardOf), so every cond-append arbitration, GC
-// stream, and switch transition-log entry — all keyed by tags — lands wholly on one shard and
-// keeps its single-log semantics. Each shard runs its own sequencer rounds (see LogClient),
+// seqnum watermark, commit listener). Tags are partitioned across shards by a pure function
+// of the tag name (TagRegistry::ShardOf), so every cond-append arbitration, GC stream, and
+// switch transition-log entry — all keyed by tags — lands wholly on one shard and keeps its
+// single-log semantics. Each shard runs its own sequencer rounds (see LogClient),
 // which is what lets appends to disjoint tags commit in parallel simulated time.
 //
 // Sequence numbers are encoded as `local * shard_count + shard` against one shared watermark
@@ -150,9 +150,9 @@ class ShardedLog {
   // deterministic constructor state and need no journal).
   void AttachDurability(storage::DurabilityService* svc);
 
-  // Drops everything a node loss destroys: records, sub-stream indices, the live-tag index,
-  // the watermark, and the storage gauge's current bytes. The tag/op interners survive — ids
-  // are deterministic client-side handles, and replay cross-checks them via kTagDef frames.
+  // Drops everything a node loss destroys: records, sub-stream indices, the watermark, and
+  // the storage gauge's current bytes. The tag/op interners survive — ids are deterministic
+  // client-side handles, and replay cross-checks them via kTagDef frames.
   void ResetVolatile(SimTime now);
 
   // Journal replay entry points (frames decoded by RestoreLogFromJournal). `fuzzy` marks a
@@ -214,6 +214,7 @@ class ShardedLog {
   SeqNum next_seqnum() const { return shards_[0]->next_seqnum(); }
   size_t live_records() const;   // Summed across shards.
   size_t IndexEntries() const;   // Summed across shards.
+  size_t IndexCapacity() const;  // Summed across shards.
   int64_t CurrentBytes() const { return shared_.gauge.CurrentBytes(); }
   metrics::StorageGauge& gauge() { return shared_.gauge; }
   // Fires in strictly increasing seqnum order across all shards (see log_space.h).

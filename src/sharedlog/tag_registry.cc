@@ -1,5 +1,6 @@
 #include "src/sharedlog/tag_registry.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
@@ -82,10 +83,11 @@ const std::string& TagRegistry::Name(TagId id) const {
 
 std::vector<TagId> TagRegistry::IdsWithPrefix(std::string_view prefix) const {
   std::vector<TagId> out;
-  for (auto it = ordered_.lower_bound(prefix); it != ordered_.end(); ++it) {
-    if (it->first.substr(0, prefix.size()) != prefix) break;
-    out.push_back(it->second);
+  for (TagId id = 0; id < names_.size(); ++id) {
+    if (names_[id]->starts_with(prefix)) out.push_back(id);
   }
+  std::sort(out.begin(), out.end(),
+            [this](TagId a, TagId b) { return *names_[a] < *names_[b]; });
   return out;
 }
 
@@ -99,7 +101,6 @@ TagId TagRegistry::Register(std::string full_name, uint64_t hash) {
   shard_of_.push_back(shard_count_ <= 1
                           ? 0u
                           : static_cast<uint32_t>(Finalize(hash) % shard_count_));
-  ordered_.emplace(std::string_view(name), id);
   if ((names_.size() + 1) * 3 > table_.size() * 2) GrowTable();
   size_t i = static_cast<size_t>(Finalize(hash)) & table_mask_;
   while (table_[i].id != kInvalidTagId) i = (i + 1) & table_mask_;

@@ -5,14 +5,16 @@
 // a single integer instead of building and hashing a fresh std::string — the metadata cost
 // Halfmoon's one-record-per-op design is meant to avoid (§4, Theorem 4.6).
 //
-// Three structures, all owned here:
+// Two structures, both owned here:
 //   * table_    — open-addressed {hash, id} slots (no per-entry heap node): a lookup is a
 //                 linear probe over a contiguous array plus one name verification, with
 //                 heterogeneous support so a two-part name like ("k:", key) is hashed *as
 //                 if concatenated* without allocating,
-//   * names_    — dense id → name (pointers into store_'s stable entries),
-//   * ordered_  — name-ordered index (string_view keys into the same storage) so prefix
-//                 enumeration stays an O(log n + matches) range scan.
+//   * names_    — dense id → name (pointers into store_'s stable entries).
+// There is deliberately no name-ordered index: it would cost a tree node and a string
+// compare chain on every intern — one per invocation for step logs — while prefix
+// enumeration (IdsWithPrefix here, LogSpace::LiveTagsWithPrefix for the GC) is rare enough
+// to scan the dense ids and sort the matches.
 //
 // Invariants:
 //   * ids are dense and assigned in interning order; names are never un-interned, so every
@@ -30,7 +32,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,8 +64,8 @@ class TagRegistry {
 
   bool Contains(TagId id) const { return id < names_.size(); }
 
-  // All interned ids whose name starts with `prefix`, in name order
-  // (O(log size + matches) range scan over the ordered index).
+  // All interned ids whose name starts with `prefix`, in name order (a scan over every
+  // interned name, then a sort of the matches).
   std::vector<TagId> IdsWithPrefix(std::string_view prefix) const;
 
   // Number of distinct names interned so far.
@@ -156,7 +157,6 @@ class TagRegistry {
   std::vector<Slot> table_;                    // Open-addressed name → id index.
   size_t table_mask_ = 0;                      // table_.size() - 1 (size is a power of two).
   std::vector<const std::string*> names_;      // Dense id → name (stable pointers).
-  std::map<std::string_view, TagId> ordered_;  // Name-ordered index for prefix scans.
   int64_t intern_requests_ = 0;
   std::function<void(TagId, std::string_view)> intern_sink_;
   uint32_t shard_count_ = 1;

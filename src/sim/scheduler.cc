@@ -8,17 +8,12 @@ namespace {
 
 // A self-destructing root coroutine used to anchor detached tasks. Its frame is destroyed
 // automatically at final_suspend (suspend_never), after the awaited task has completed and
-// been destroyed with it. The promise deregisters the frame from the scheduler's live set
-// in its destructor, which runs both on natural completion and on explicit destroy.
+// been destroyed with it. The promise is the frame's link in the scheduler's list of live
+// roots and unlinks itself in its destructor, which runs both on natural completion and on
+// explicit destroy. Its frame is recycled like every task frame (task.h).
 struct Detached {
-  struct promise_type {
-    std::unordered_set<void*>* registry = nullptr;
-
-    ~promise_type() {
-      if (registry != nullptr) {
-        registry->erase(std::coroutine_handle<promise_type>::from_promise(*this).address());
-      }
-    }
+  struct promise_type : internal::DetachedLink {
+    ~promise_type() { Unlink(); }
 
     Detached get_return_object() {
       return Detached{std::coroutine_handle<promise_type>::from_promise(*this)};
@@ -29,6 +24,11 @@ struct Detached {
     void unhandled_exception() noexcept {
       std::fprintf(stderr, "fatal: exception escaped a detached sim task\n");
       std::abort();
+    }
+
+    static void* operator new(size_t bytes) { return internal::FrameAlloc(bytes); }
+    static void operator delete(void* ptr, size_t bytes) noexcept {
+      internal::FrameFree(ptr, bytes);
     }
   };
 
@@ -41,19 +41,17 @@ Detached RunDetached(Task<void> task) { co_await std::move(task); }
 
 void Scheduler::Spawn(Task<void> task) {
   Detached detached = RunDetached(std::move(task));
-  detached.handle.promise().registry = &detached_;
-  detached_.insert(detached.handle.address());
+  detached_.LinkAfter(&detached.handle.promise());
   PostResume(0, detached.handle);
 }
 
 Scheduler::~Scheduler() {
-  // Move the set aside so each promise destructor's deregistration is a no-op erase rather
-  // than a mutation of the container being iterated. Pending queue events may hold handles
-  // into the destroyed chains; they are never fired, only dropped.
-  std::unordered_set<void*> live = std::move(detached_);
-  detached_.clear();
-  for (void* frame : live) {
-    std::coroutine_handle<>::from_address(frame).destroy();
+  // Each destroy unlinks its root (promise destructor), so the list drains from the front.
+  // Pending queue events may hold handles into the destroyed chains; they are never fired,
+  // only dropped.
+  while (detached_.next != &detached_) {
+    auto* promise = static_cast<Detached::promise_type*>(detached_.next);
+    std::coroutine_handle<Detached::promise_type>::from_promise(*promise).destroy();
   }
 }
 

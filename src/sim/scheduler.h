@@ -34,7 +34,6 @@
 #include <new>
 #include <queue>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -43,6 +42,34 @@
 #include "src/sim/task.h"
 
 namespace halfmoon::sim {
+
+namespace internal {
+
+// Intrusive doubly-linked list node; a node whose neighbours are itself is unlinked (and a
+// list sentinel in that state is an empty list). Detached root promises embed one, so
+// Spawn registers a root without allocating.
+struct DetachedLink {
+  DetachedLink* prev = this;
+  DetachedLink* next = this;
+
+  DetachedLink() = default;
+  DetachedLink(const DetachedLink&) = delete;
+  DetachedLink& operator=(const DetachedLink&) = delete;
+
+  void LinkAfter(DetachedLink* node) {
+    node->prev = this;
+    node->next = next;
+    next->prev = node;
+    next = node;
+  }
+  void Unlink() {
+    prev->next = next;
+    next->prev = prev;
+    prev = next = this;
+  }
+};
+
+}  // namespace internal
 
 // A move-only type-erased callable with fixed inline storage and no heap fallback.
 class InlineCallback {
@@ -385,11 +412,11 @@ class Scheduler {
   // Reference-mode state (kPriorityQueue only).
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
 
-  // Root frames of live detached tasks (frame addresses). A frame that completes removes
-  // itself (its promise holds a pointer to this set); frames still here at destruction are
-  // suspended mid-loop and are destroyed by ~Scheduler, which tears down the whole await
-  // chain (each co_await operand lives in its awaiter's frame).
-  std::unordered_set<void*> detached_;
+  // Sentinel of the circular list of live detached roots, linked through their promises. A
+  // root that completes unlinks itself; roots still linked at destruction are suspended
+  // mid-loop and are destroyed by ~Scheduler, which tears down the whole await chain (each
+  // co_await operand lives in its awaiter's frame).
+  internal::DetachedLink detached_;
 };
 
 }  // namespace halfmoon::sim

@@ -5,12 +5,18 @@
 // A Task owns its coroutine frame; awaiting a task transfers control into it and resumes the
 // awaiter when the task completes. Exceptions thrown inside a task propagate to the awaiter,
 // which is how injected SSF crashes unwind through protocol code back to the runtime.
+//
+// Frames are recycled (FrameAlloc/FrameFree below): every invocation builds and tears down a
+// chain of task frames, so frames come from per-thread free lists of 64-byte size classes
+// instead of the general-purpose heap.
 
 #ifndef HALFMOON_SIM_TASK_H_
 #define HALFMOON_SIM_TASK_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -23,6 +29,57 @@ template <typename T>
 class Task;
 
 namespace internal {
+
+// ---- Coroutine frame recycling ----
+// A frame of n bytes belongs to size class (n - 1) / kFrameGranule and is served from that
+// class's per-thread free list, falling back to ::operator new for a class's first frames.
+// A freed frame goes back on its class's list; the lists never shrink, so they hold at most
+// the peak number of live frames per class. Frames larger than the biggest class bypass the
+// lists. Under AddressSanitizer every frame bypasses them: a LIFO free list hands a freed
+// frame straight back out, which would defeat ASan's quarantine and hide use-after-free of
+// a destroyed frame.
+inline constexpr size_t kFrameGranule = 64;
+inline constexpr size_t kFrameClasses = 32;  // Pooled frames up to 2 KiB.
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kRecycleFrames = false;
+#else
+inline constexpr bool kRecycleFrames = true;
+#endif
+
+struct FreeFrame {
+  FreeFrame* next;
+};
+inline thread_local FreeFrame* free_frames[kFrameClasses] = {};
+
+inline size_t FrameClass(size_t bytes) { return (bytes - 1) / kFrameGranule; }
+
+inline void* FrameAlloc(size_t bytes) {
+  size_t cls = FrameClass(bytes);
+  if (!kRecycleFrames || cls >= kFrameClasses) return ::operator new(bytes);
+  FreeFrame*& head = free_frames[cls];
+  if (head == nullptr) return ::operator new((cls + 1) * kFrameGranule);
+  FreeFrame* frame = head;
+  head = frame->next;
+  return frame;
+}
+
+inline void FrameFree(void* ptr, size_t bytes) noexcept {
+  size_t cls = FrameClass(bytes);
+  if (!kRecycleFrames || cls >= kFrameClasses) {
+    ::operator delete(ptr, bytes);
+    return;
+  }
+  FreeFrame* frame = static_cast<FreeFrame*>(ptr);
+  frame->next = free_frames[cls];
+  free_frames[cls] = frame;
+}
+
+// Number of recycled frames waiting in size class `cls` on this thread (tests only).
+inline size_t FreeFrameCount(size_t cls) {
+  size_t n = 0;
+  for (const FreeFrame* f = free_frames[cls]; f != nullptr; f = f->next) ++n;
+  return n;
+}
 
 // Transfers control back to the awaiting coroutine (if any) when a task finishes.
 struct FinalAwaiter {
@@ -44,6 +101,9 @@ struct PromiseBase {
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }
   void unhandled_exception() noexcept { exception = std::current_exception(); }
+
+  static void* operator new(size_t bytes) { return FrameAlloc(bytes); }
+  static void operator delete(void* ptr, size_t bytes) noexcept { FrameFree(ptr, bytes); }
 };
 
 template <typename T>

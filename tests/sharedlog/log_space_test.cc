@@ -1,6 +1,14 @@
 #include "src/sharedlog/log_space.h"
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "src/sharedlog/sharded_log.h"
 
 namespace halfmoon::sharedlog {
 namespace {
@@ -425,6 +433,153 @@ TEST(LogSpaceTest, ByteAccountingMatchesRecordSizes) {
   EXPECT_EQ(log.CurrentBytes(), 2 * one);
   log.Trim(0, "t", kMaxSeqNum);
   EXPECT_EQ(log.CurrentBytes(), 0);
+}
+
+// ---- Flat stream runs ----
+
+TEST(LogSpaceTest, StreamTrimmedToEmptyHoldsNoIndexCapacity) {
+  // IndexEntries counts live entries only; the capacity view also sees a buffer a fully
+  // trimmed stream might keep (std::deque kept a node per stream, even when empty).
+  LogSpace log;
+  for (int i = 0; i < 100; ++i) log.Append(0, OneTag("t"), Fields("w", i));
+  for (int i = 0; i < 20; ++i) log.Append(0, OneTag("k:obj" + std::to_string(i)), Fields("w", i));
+  EXPECT_GE(log.IndexCapacity(), 120u);
+  log.Trim(0, "t", kMaxSeqNum);
+  for (int i = 0; i < 20; ++i) log.Trim(0, "k:obj" + std::to_string(i), kMaxSeqNum);
+  EXPECT_EQ(log.IndexEntries(), 0u);
+  EXPECT_EQ(log.IndexCapacity(), 0u);
+}
+
+TEST(LogSpaceTest, TrimToEmptyThenReappendContinuesOffsets) {
+  LogSpace log;
+  for (size_t pos = 0; pos < 5; ++pos) {
+    ASSERT_TRUE(log.CondAppend(0, OneTag("s"), Fields("a", 0), "s", pos).ok);
+  }
+  EXPECT_EQ(log.Trim(0, "s", kMaxSeqNum), 5u);
+  EXPECT_EQ(log.StreamLength("s"), 5u);
+  EXPECT_EQ(log.IndexCapacity(), 0u);
+  CondAppendResult at5 = log.CondAppend(0, OneTag("s"), Fields("b", 5), "s", 5);
+  ASSERT_TRUE(at5.ok);
+  CondAppendResult at6 = log.CondAppend(0, OneTag("s"), Fields("c", 6), "s", 6);
+  ASSERT_TRUE(at6.ok);
+  EXPECT_EQ(log.StreamLength("s"), 7u);
+  // A stale offset in the re-appended suffix conflicts with its occupant.
+  CondAppendResult stale = log.CondAppend(0, OneTag("s"), Fields("d", 5), "s", 5);
+  EXPECT_FALSE(stale.ok);
+  EXPECT_EQ(stale.existing_seqnum, at5.seqnum);
+  // A partial trim shifts nothing either.
+  EXPECT_EQ(log.Trim(0, "s", at5.seqnum), 1u);
+  EXPECT_EQ(log.StreamLength("s"), 7u);
+  stale = log.CondAppend(0, OneTag("s"), Fields("d", 6), "s", 6);
+  EXPECT_FALSE(stale.ok);
+  EXPECT_EQ(stale.existing_seqnum, at6.seqnum);
+  EXPECT_TRUE(log.CondAppend(0, OneTag("s"), Fields("e", 7), "s", 7).ok);
+  EXPECT_EQ(log.ReadPrev("s", kMaxSeqNum)->fields.GetStr("op"), "e");
+  EXPECT_EQ(log.ReadNext("s", 0)->seqnum, at6.seqnum);
+}
+
+TEST(LogSpaceTest, FuzzyRestoreInsertsMidStreamAfterPartialTrim) {
+  LogSpace log;
+  TagId t = log.tags().Intern("t");
+  for (SeqNum seqnum : {10, 20, 30, 40, 50, 60}) {
+    log.RestoreRecord(0, seqnum, OneTag(t), Fields("w", static_cast<int64_t>(seqnum)),
+                      /*fuzzy=*/true);
+  }
+  // Two pops leave a dead prefix in front of the live entries.
+  EXPECT_EQ(log.Trim(0, t, 25), 2u);
+  log.RestoreRecord(0, 35, OneTag(t), Fields("w", 35), /*fuzzy=*/true);
+  log.RestoreRecord(0, 35, OneTag(t), Fields("w", 35), /*fuzzy=*/true);  // Absorbed: no-op.
+  log.RestoreRecord(0, 55, OneTag(t), Fields("w", 55), /*fuzzy=*/true);
+  std::vector<SeqNum> seqnums;
+  for (const LogRecordPtr& record : log.ReadStream(t)) seqnums.push_back(record->seqnum);
+  EXPECT_EQ(seqnums, (std::vector<SeqNum>{30, 35, 40, 50, 55, 60}));
+  EXPECT_EQ(log.live_records(), 6u);
+  EXPECT_EQ(log.StreamLength(t), 8u);  // base 2 + 6 live.
+  EXPECT_EQ(log.ReadPrev(t, 36)->seqnum, 35u);
+  EXPECT_EQ(log.ReadNext(t, 31)->seqnum, 35u);
+  EXPECT_EQ(log.LatestSeqNoAtMost(t, 54), 50u);
+  EXPECT_EQ(log.LatestSeqNoAtMost(t, 29), kInvalidSeqNum);  // Trimmed entries stay dead.
+  EXPECT_EQ(log.Trim(0, t, 35), 2u);
+  EXPECT_EQ(log.ReadNext(t, 0)->seqnum, 40u);
+  EXPECT_EQ(log.Trim(0, t, kMaxSeqNum), 4u);
+  EXPECT_EQ(log.live_records(), 0u);
+  EXPECT_EQ(log.IndexCapacity(), 0u);
+}
+
+// Reference for LiveTagsWithPrefix: every interned name whose stream has a live record and
+// which starts with `prefix`, in name order.
+template <typename Log>
+std::vector<std::string> NaiveLiveNames(const Log& log, std::string_view prefix) {
+  std::vector<std::string> names;
+  for (TagId tag = 0; tag < log.tags().size(); ++tag) {
+    const std::string& name = log.tags().Name(tag);
+    if (name.starts_with(prefix) && !log.ReadStream(tag).empty()) names.push_back(name);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+template <typename Log>
+void ExpectLiveTagsMatchNaive(const Log& log, const std::string& when) {
+  for (std::string_view prefix : {"", "k:", "k", "k:o", "x", "zz"}) {
+    std::vector<std::string> naive = NaiveLiveNames(log, prefix);
+    std::vector<std::string> by_id;
+    for (TagId tag : log.LiveTagsWithPrefix(prefix)) by_id.push_back(log.tags().Name(tag));
+    EXPECT_EQ(by_id, naive) << when << ", prefix \"" << prefix << "\"";
+    EXPECT_EQ(log.StreamTagsWithPrefix(prefix), naive) << when << ", prefix \"" << prefix
+                                                       << "\"";
+  }
+}
+
+template <typename Log>
+void RunLiveTagsTrimReappendCycle(Log& log) {
+  std::mt19937_64 rng(7);
+  std::vector<TagId> tags;
+  for (int i = 0; i < 40; ++i) {
+    // Interning order differs from name order ("k:obj9" > "k:obj10").
+    tags.push_back(log.tags().Intern("k:obj" + std::to_string((i * 17) % 40)));
+  }
+  for (const char* other : {"k", "kk:a", "x:1", "ssf.extra"}) {
+    tags.push_back(log.tags().Intern(other));
+  }
+  auto append_some = [&] {
+    for (int i = 0; i < 120; ++i) {
+      TagId a = tags[rng() % tags.size()];
+      TagId b = tags[rng() % tags.size()];
+      log.Append(0, a == b ? OneTag(a) : TwoTags(a, b), Fields("w", i));
+    }
+  };
+  append_some();
+  ExpectLiveTagsMatchNaive(log, "after appends");
+  // Partial trims, then every "k:" stream trimmed to empty (the other tags keep their
+  // records alive through multi-tag references).
+  for (TagId tag : tags) {
+    if (rng() % 2 == 0) log.Trim(0, tag, log.next_seqnum() / 2);
+  }
+  ExpectLiveTagsMatchNaive(log, "after partial trims");
+  for (TagId tag : log.LiveTagsWithPrefix("k:")) log.Trim(0, tag, kMaxSeqNum);
+  EXPECT_TRUE(log.LiveTagsWithPrefix("k:").empty());
+  ExpectLiveTagsMatchNaive(log, "after trim to empty");
+  append_some();
+  ExpectLiveTagsMatchNaive(log, "after re-append");
+  for (TagId tag : tags) log.Trim(0, tag, kMaxSeqNum);
+  ExpectLiveTagsMatchNaive(log, "after full trim");
+  EXPECT_EQ(log.IndexCapacity(), 0u);
+}
+
+TEST(LogSpaceTest, LiveTagsMatchNaiveFilterAcrossTrimAndReappend) {
+  LogSpace log;
+  RunLiveTagsTrimReappendCycle(log);
+}
+
+TEST(LogSpaceTest, LiveTagsMatchNaiveFilterOnFourShards) {
+  ShardedLog log(4);
+  std::vector<bool> owning(4, false);
+  for (int i = 0; i < 40; ++i) {
+    owning[log.ShardOfTag(log.tags().Intern("k:obj" + std::to_string(i)))] = true;
+  }
+  ASSERT_EQ(std::count(owning.begin(), owning.end(), true), 4) << "tags should span shards";
+  RunLiveTagsTrimReappendCycle(log);
 }
 
 }  // namespace
