@@ -28,6 +28,7 @@
 
 #include "bench/bench_common.h"
 #include "src/common/check.h"
+#include "src/common/fnv.h"
 #include "src/core/advisor.h"
 #include "src/core/online_advisor.h"
 #include "src/metrics/workload_sketch.h"
@@ -400,9 +401,11 @@ std::vector<TagId> WorkerTags(runtime::Cluster& cluster, const DrivenShape& shap
 }
 
 // Committed content of the worker streams: every record's (worker, step) pair in stream
-// order, folded into one FNV-1a hash, plus the record count. Folding the worker index in
-// keeps streams with identical step sequences from cancelling, so a record lost, added or
-// reordered in any one stream changes the fingerprint.
+// order, folded one 64-bit word at a time with the FNV prime, plus the record count. Folding
+// the worker index in keeps streams with identical step sequences from cancelling, so a
+// record lost, added or reordered in any one stream changes the fingerprint. The seed is the
+// FNV-1a basis with its last digit dropped, not the basis itself; the pinned fingerprints
+// were captured with it, so it stays.
 struct StreamContent {
   uint64_t fingerprint = 1469598103934665603ull;
   uint64_t records = 0;
@@ -415,7 +418,7 @@ StreamContent WorkerStreams(runtime::Cluster& cluster, const std::vector<TagId>&
     for (const LogRecordPtr& record :
          cluster.log_space().ReadStreamUpTo(worker_tags[w], sharedlog::kMaxSeqNum)) {
       uint64_t step = static_cast<uint64_t>(record->fields.GetInt("step"));
-      out.fingerprint = (out.fingerprint ^ (w << 32 | step)) * 1099511628211ull;
+      out.fingerprint = (out.fingerprint ^ (w << 32 | step)) * kFnvPrime;
       ++out.records;
     }
   }

@@ -26,6 +26,14 @@ if grep -rnE 'getenv|Env(Int|Flag|PositiveDouble)\b|common/env\.h' src \
   exit 1
 fi
 
+# One FNV-1a definition (DESIGN.md §16): the prime is spelled only in src/common/fnv.h, so
+# every checksum, content fold and golden pin is built from the same constants and state
+# comparisons go through Cluster::Fingerprint() instead of a hand-rolled fold.
+if grep -rn '1099511628211' src tests bench | grep -v '^src/common/fnv\.h:'; then
+  echo "check.sh: FAIL — the FNV prime is spelled outside src/common/fnv.h (listed above)" >&2
+  exit 1
+fi
+
 cmake -B "${BUILD_DIR}" -S . -DHM_WERROR=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure

@@ -13,6 +13,7 @@
 #ifndef HALFMOON_KVSTORE_KV_STATE_H_
 #define HALFMOON_KVSTORE_KV_STATE_H_
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
 #include <map>
@@ -85,6 +86,20 @@ class KvState {
 
   // Objects currently holding at least one version (the flat index can be longer).
   size_t versioned_object_count() const { return versioned_objects_; }
+
+  // Visits every stored entry in a fixed order, for state fingerprints: latest(key, value,
+  // version) per latest slot by key, then version(object, version_id, value) per stored
+  // version by (object, version_id).
+  template <typename LatestFn, typename VersionFn>
+  void ForEachEntry(LatestFn&& latest, VersionFn&& version) const {
+    std::vector<const std::pair<const std::string, LatestSlot>*> slots;
+    for (const auto& entry : latest_) slots.push_back(&entry);
+    std::sort(slots.begin(), slots.end(), [](auto* a, auto* b) { return a->first < b->first; });
+    for (const auto* slot : slots) latest(slot->first, slot->second.value, slot->second.version);
+    for (ObjectId object = 0; object < versioned_.size(); ++object) {
+      for (const auto& [version_id, value] : versioned_[object]) version(object, version_id, value);
+    }
+  }
 
   // ---- Durable medium + crash-restart recovery (DESIGN.md §13) ----
 

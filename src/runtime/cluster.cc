@@ -1,23 +1,51 @@
 #include "src/runtime/cluster.h"
 
 #include <algorithm>
+#include <ostream>
+#include <string_view>
 
 #include "src/common/check.h"
+#include "src/common/fnv.h"
 
 namespace halfmoon::runtime {
 
+// An incoherent config fails here instead of silently running a different system or hanging
+// (an empty batch cap or slice budget makes every round empty, and a zero-permit station
+// parks every request, forever). Runs before any member is built from the config.
+static const ClusterConfig& Validated(const ClusterConfig& config) {
+  HM_CHECK_MSG(config.durable || !config.checkpoint,
+               "ClusterConfig: checkpoint=true requires durable=true (no journal to compact)");
+  const bool q = config.model_queueing;  // Station sizes matter only with queueing.
+  const std::pair<int64_t, const char*> at_least_one[] = {
+      {config.function_nodes, "function_nodes"},
+      {config.workers_per_node, "workers_per_node"},
+      {config.log_shards, "log_shards"},
+      {config.append_batch_max, "append_batch_max"},
+      {config.append_batch_pipeline, "append_batch_pipeline"},
+      {config.checkpoint_slice, "checkpoint_slice"},
+      {q ? config.sequencer_servers : 1, "sequencer_servers"},
+      {q ? config.storage_servers : 1, "storage_servers"},
+      {q ? config.db_servers : 1, "db_servers"},
+  };
+  for (const auto& [value, field] : at_least_one) {
+    HM_CHECK_MSG(value >= 1, ("ClusterConfig: " + std::string(field) + " must be >= 1").c_str());
+  }
+  return config;
+}
+
+std::ostream& operator<<(std::ostream& os, const StateFingerprint& f) {
+  return os << std::hex << "{log_content=0x" << f.log_content << " log_seqnums=0x"
+            << f.log_seqnums << " kv=0x" << f.kv << std::dec << " next_seqnum=" << f.next_seqnum
+            << " events=" << f.events_processed << " now=" << f.now
+            << " logged_bytes=" << f.logged_bytes << "}";
+}
+
 Cluster::Cluster(const ClusterConfig& config)
-    : config_(config),
+    : config_(Validated(config)),
       scheduler_(config.queue_mode),
       rng_(config.seed),
       models_(config.calibration),
       log_space_(static_cast<uint32_t>(config.log_shards)) {
-  // An incoherent config fails here instead of silently running a different system (or
-  // hanging: a zero batch cap or slice budget makes every round empty, forever).
-  HM_CHECK_MSG(config.durable || !config.checkpoint,
-               "ClusterConfig: checkpoint=true requires durable=true (no journal to compact)");
-  HM_CHECK_MSG(config.append_batch_max >= 1, "ClusterConfig: append_batch_max must be >= 1");
-  HM_CHECK_MSG(config.checkpoint_slice >= 1, "ClusterConfig: checkpoint_slice must be >= 1");
   if (config.model_queueing) {
     // One sequencer station per log shard: sequencer rounds bound for different shards no
     // longer contend, which is the shard-scaling mechanism (DESIGN.md §9).
@@ -30,7 +58,6 @@ Cluster::Cluster(const ClusterConfig& config)
         std::make_unique<sim::ServiceStation>(&scheduler_, config.storage_servers);
     db_station_ = std::make_unique<sim::ServiceStation>(&scheduler_, config.db_servers);
   }
-  HM_CHECK(config.function_nodes > 0);
   sharedlog::AppendBatchConfig batch;
   batch.enabled = config.group_commit_appends;
   batch.window = config.append_batch_window;
@@ -316,6 +343,35 @@ int64_t Cluster::TotalLoggedBytes() const {
   return total;
 }
 
+StateFingerprint Cluster::Fingerprint() const {
+  // The three folds start at the basis; the scalars are read as they stand.
+  StateFingerprint f{kFnvBasis, kFnvBasis, kFnvBasis, log_space_.next_seqnum(),
+                     scheduler_.events_processed(), scheduler_.Now(), TotalLoggedBytes()};
+  for (sharedlog::TagId tag : log_space_.LiveTagsWithPrefix("")) {
+    f.log_content = FnvBytes(f.log_content, log_space_.tags().Name(tag));
+    for (const sharedlog::LogRecordPtr& record : log_space_.ReadStream(tag)) {
+      f.log_seqnums = FnvU64(f.log_seqnums, record->seqnum);
+      f.log_content = FnvU64(f.log_content, record->tags.size());
+      for (const auto& [key, field] : record->fields) {
+        f.log_content = FnvBytes(f.log_content, key);
+        const int64_t* i = std::get_if<int64_t>(&field);
+        f.log_content = i != nullptr ? FnvU64(f.log_content, static_cast<uint64_t>(*i))
+                                     : FnvBytes(f.log_content, std::get<std::string>(field));
+      }
+    }
+  }
+  // KV strings are length-prefixed, so adjacent keys and values cannot trade bytes.
+  auto str = [](uint64_t h, std::string_view s) { return FnvBytes(FnvU64(h, s.size()), s); };
+  kv_state_.ForEachEntry(
+      [&](const std::string& key, const Value& value, kvstore::VersionTuple version) {
+        f.kv = FnvU64(FnvU64(str(str(f.kv, key), value), version.cursor_ts), version.counter);
+      },
+      [&](kvstore::ObjectId object, const std::string& version_id, const Value& value) {
+        f.kv = str(str(FnvU64(f.kv, object), version_id), value);
+      });
+  return f;
+}
+
 int64_t Cluster::TotalLoggedBytesByClass(int cls) const {
   int64_t total = 0;
   for (const auto& node : nodes_) {
@@ -330,16 +386,6 @@ int64_t Cluster::TotalLogReads() const {
   for (const auto& node : nodes_) {
     const auto& s = node->log().stats();
     total += s.read_prev_cached + s.read_prev_uncached + s.read_next + s.stream_reads;
-  }
-  return total;
-}
-
-int64_t Cluster::TotalDbOps() const {
-  int64_t total = 0;
-  for (const auto& node : nodes_) {
-    const auto& s = node->kv().stats();
-    total += s.reads + s.plain_writes + s.cond_writes + s.versioned_reads +
-             s.versioned_writes + s.deletes;
   }
   return total;
 }

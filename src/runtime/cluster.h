@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <iosfwd>
 #include <limits>
 #include <map>
 #include <memory>
@@ -114,6 +115,30 @@ struct ClusterConfig {
   uint64_t seed = 1;
   LatencyCalibration calibration;
 };
+
+// One run's observable outcome in a few words, so that "same behaviour" is one comparison
+// (DESIGN.md §16). Each equivalence test compares the fields its contract covers.
+struct StateFingerprint {
+  // FNV-1a over every live stream in name order: its name, then per record the tag count and
+  // every field's key and value. Seqnum-free, hence shard-count-invariant.
+  uint64_t log_content = 0;
+  uint64_t log_seqnums = 0;  // FNV-1a over every record's seqnum, in the same walk.
+  // FNV-1a over every latest slot (key, value, version) in key order, then every stored
+  // version (object, version_id, value).
+  uint64_t kv = 0;
+  uint64_t next_seqnum = 0;
+  uint64_t events_processed = 0;
+  SimTime now = 0;
+  int64_t logged_bytes = 0;  // Cluster::TotalLoggedBytes().
+
+  // What crash-restart recovery must restore: the fields above with the clock and the
+  // client-side counters zeroed.
+  StateFingerprint CommittedState() const {
+    return {log_content, log_seqnums, kv, next_seqnum, 0, 0, 0};
+  }
+  bool operator==(const StateFingerprint&) const = default;
+};
+std::ostream& operator<<(std::ostream& os, const StateFingerprint& f);
 
 // One function node: a worker pool plus its clients to the logging layer and the KV store.
 class FunctionNode {
@@ -272,13 +297,15 @@ class Cluster {
   // Aggregate logging statistics across all function nodes.
   int64_t TotalLogAppends() const;
   int64_t TotalLogReads() const;
-  int64_t TotalDbOps() const;
 
   // Simulated bytes of committed log records across all nodes — the §4.6 storage currency.
   // The per-class variant slices by append class (see LogClientStats::appended_bytes_by_class;
   // protocol classes come from core::LogAppendClass).
   int64_t TotalLoggedBytes() const;
   int64_t TotalLoggedBytesByClass(int cls) const;
+
+  // A pure read — no RNG draws, no scheduled events — so it may be taken at any point.
+  StateFingerprint Fingerprint() const;
 
  private:
   ClusterConfig config_;

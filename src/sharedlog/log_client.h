@@ -277,7 +277,6 @@ class LogClient {
 
   SeqNum indexed_upto() const { return indexed_upto_; }
   const LogClientStats& stats() const { return stats_; }
-  LogClientStats& mutable_stats() { return stats_; }
 
   // Byte-attribution class for this client's NEXT append (0 = control, the default). Each
   // append path consumes the stamp in its pre-suspension prologue and resets it to 0, so an
@@ -287,9 +286,6 @@ class LogClient {
   // to append nothing, e.g. a replayed step, leaves the stamp for the client's next append;
   // that only shifts attribution of one control record during crash replay.)
   void set_append_class(int cls) { append_class_ = cls; }
-  int append_class() const { return append_class_; }
-
-  bool read_cache_enabled() const { return read_cache_enabled_; }
 
   // Non-null iff node-local group commit is enabled for this client (shard 0's batcher in
   // sharded mode).

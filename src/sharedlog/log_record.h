@@ -110,13 +110,6 @@ struct LogRecord {
   OpId op = kInvalidOpId;
   FieldMap fields;
 
-  bool HasTag(TagId t) const {
-    for (TagId tag : tags) {
-      if (tag == t) return true;
-    }
-    return false;
-  }
-
   // Approximate serialized size: header + tags + payload. Interned tags serialize as fixed
   // 64-bit ids rather than variable-length names.
   size_t ByteSize() const {

@@ -53,10 +53,6 @@ class ShardedLog {
 
   // Shard owning `tag`'s sub-stream (pure function of the tag name).
   uint32_t ShardOfTag(TagId tag) const { return shared_.tags.ShardOf(tag); }
-  // Shard that sequenced (and stores) the record at `seqnum`.
-  uint32_t ShardOfSeq(SeqNum seqnum) const {
-    return static_cast<uint32_t>(seqnum % shards_.size());
-  }
 
   TagRegistry& tags() { return shared_.tags; }
   const TagRegistry& tags() const { return shared_.tags; }

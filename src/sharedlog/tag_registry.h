@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/fnv.h"
 #include "src/sharedlog/log_record.h"
 
 namespace halfmoon::sharedlog {
@@ -105,7 +106,7 @@ class TagRegistry {
   // the concatenated name. Unlike byte-at-a-time FNV (whose multiply chain is one 3-cycle
   // dependency per byte), the loop consumes 8 bytes per step: the eight byte·r^k products
   // are independent, leaving a single multiply on the critical path per word.
-  static constexpr uint64_t kR = 1099511628211ULL;  // Odd multiplier (the FNV prime).
+  static constexpr uint64_t kR = kFnvPrime;  // Odd multiplier; names hash from kFnvBasis.
   static constexpr uint64_t Pow(int k) {
     uint64_t p = 1;
     for (int i = 0; i < k; ++i) p *= kR;
@@ -123,10 +124,9 @@ class TagRegistry {
     for (; n > 0; --n, ++p) h = h * kR + *p;
     return h;
   }
-  static constexpr uint64_t kOffset = 14695981039346656037ULL;
-  static uint64_t HashName(std::string_view name) { return Mix(kOffset, name); }
+  static uint64_t HashName(std::string_view name) { return Mix(kFnvBasis, name); }
   static uint64_t HashName(std::string_view prefix, std::string_view suffix) {
-    return Mix(Mix(kOffset, prefix), suffix);
+    return Mix(Mix(kFnvBasis, prefix), suffix);
   }
   // Low bits of a polynomial hash are weak (mod-2^64 products never see high bits), so the
   // probe start position comes from a finalizer, not the raw hash.

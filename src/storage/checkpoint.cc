@@ -4,13 +4,11 @@
 #include <limits>
 
 #include "src/common/check.h"
+#include "src/common/fnv.h"
 
 namespace halfmoon::storage {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 // One manifest payload: u8 domain + 5 × u64.
 constexpr uint64_t kManifestPayloadBytes = 1 + 5 * 8;
@@ -58,15 +56,14 @@ CheckpointManifest DecodeManifest(Cursor cursor) {
 
 uint64_t ChecksumImage(const CheckpointStore& store, uint64_t from, uint64_t upto) {
   std::string_view bytes = store.buffer().ReadDurable(from, upto - from);
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnvBasis;
   size_t i = 0;
   for (; i + 8 <= bytes.size(); i += 8) {
     uint64_t word = 0;  // Little-endian load; the byte loop compiles to one 8-byte read.
     for (size_t b = 0; b < 8; ++b) word |= uint64_t{static_cast<uint8_t>(bytes[i + b])} << (8 * b);
     h = (h ^ word) * kFnvPrime;
   }
-  for (; i < bytes.size(); ++i) h = (h ^ static_cast<uint8_t>(bytes[i])) * kFnvPrime;
-  return h;
+  return FnvBytes(h, bytes.substr(i));
 }
 
 bool FindLatestValidManifest(const CheckpointStore& store, uint8_t domain,

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -257,24 +256,7 @@ TEST(OnlineAdvisorTest, SketchMemoryIndependentOfLiveObjects) {
 // Advisor-off bit-identity
 // ---------------------------------------------------------------------------
 
-uint64_t HashBytes(uint64_t h, std::string_view s) {
-  for (unsigned char c : s) h = (h ^ c) * 1099511628211ull;
-  return h;
-}
-
-uint64_t HashInt(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) h = (h ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ull;
-  return h;
-}
-
-struct PinnedRun {
-  uint64_t events = 0;
-  uint64_t end_now = 0;
-  uint64_t next_seqnum = 0;
-  uint64_t content_fnv = 0;
-};
-
-PinnedRun RunCounterWithAdvisorFlag(bool advisor) {
+runtime::StateFingerprint RunCounterWithAdvisorFlag(bool advisor) {
   // Defaults: seed 1, the serial append engine on the one-shard volatile store — matches the
   // PR 4 golden capture.
   runtime::Cluster cluster(runtime::ClusterConfig{});
@@ -298,46 +280,25 @@ PinnedRun RunCounterWithAdvisorFlag(bool advisor) {
     EXPECT_TRUE(done);
   }
 
-  PinnedRun r;
-  r.events = static_cast<uint64_t>(cluster.scheduler().events_processed());
-  r.end_now = static_cast<uint64_t>(cluster.scheduler().Now());
-  r.next_seqnum = static_cast<uint64_t>(cluster.log_space().next_seqnum());
-  uint64_t h = 14695981039346656037ull;
-  auto& log = cluster.log_space();
-  for (const std::string& name : log.StreamTagsWithPrefix("")) {
-    h = HashBytes(h, name);
-    for (const auto& rec : log.ReadStream(name)) {
-      h = HashInt(h, rec->tags.size());
-      for (const auto& [key, field] : rec->fields) {
-        h = HashBytes(h, key);
-        if (const int64_t* i = std::get_if<int64_t>(&field)) {
-          h = HashInt(h, static_cast<uint64_t>(*i));
-        } else {
-          h = HashBytes(h, std::get<std::string>(field));
-        }
-      }
-    }
-  }
-  r.content_fnv = h;
-  return r;
+  return cluster.Fingerprint();
 }
 
 TEST(OnlineAdvisorTest, AdvisorOffIsBitIdenticalToStaticRuntime) {
   // The same golden tuple sharded_equivalence_test pins for Halfmoon-read/counter (captured
   // at the PR 4 head): with advisor mode off the runtime must still reproduce it exactly —
   // no extra events, no sketch, no resolution reads, identical committed content.
-  PinnedRun r = RunCounterWithAdvisorFlag(/*advisor=*/false);
-  EXPECT_EQ(r.events, 88ull);
-  EXPECT_EQ(r.end_now, 23700364ull);
+  runtime::StateFingerprint r = RunCounterWithAdvisorFlag(/*advisor=*/false);
+  EXPECT_EQ(r.events_processed, 88ull);
+  EXPECT_EQ(static_cast<uint64_t>(r.now), 23700364ull);
   EXPECT_EQ(r.next_seqnum, 11ull);
-  EXPECT_EQ(r.content_fnv, 0xa75e9b1f8b1c59c9ull);
+  EXPECT_EQ(r.log_content, 0xa75e9b1f8b1c59c9ull);
   std::printf("[advisor] advisor-off content checksum 0x%llx (pinned)\n",
-              static_cast<unsigned long long>(r.content_fnv));
+              static_cast<unsigned long long>(r.log_content));
 
   // Advisor mode with no advisor service running appends the same records — resolution is a
   // pure read. (Byte content is NOT compared: the resolution reads draw latency samples from
   // the shared rng, which shifts the random instance IDs embedded in record fields.)
-  PinnedRun with_advisor = RunCounterWithAdvisorFlag(/*advisor=*/true);
+  runtime::StateFingerprint with_advisor = RunCounterWithAdvisorFlag(/*advisor=*/true);
   EXPECT_EQ(with_advisor.next_seqnum, r.next_seqnum);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -131,7 +132,7 @@ sim::Task<void> ClientAppends(Cluster* c, int node, int client, int ops,
 }
 
 struct GatingRun {
-  uint64_t content_fnv = 0;
+  StateFingerprint fp;
   int64_t appends = 0;
   SimDuration median_latency = 0;
 };
@@ -152,26 +153,11 @@ GatingRun RunAppendLoad(bool durable) {
   cluster.scheduler().Run();
 
   GatingRun run;
+  run.fp = cluster.Fingerprint();
   run.appends = cluster.TotalLogAppends();
   std::nth_element(latencies.begin(), latencies.begin() + latencies.size() / 2,
                    latencies.end());
   run.median_latency = latencies[latencies.size() / 2];
-  // FNV-1a over every stream's name and records' fields, in committed stream order.
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](const std::string& bytes) {
-    for (unsigned char b : bytes) h = (h ^ b) * 1099511628211ull;
-  };
-  for (const std::string& name : cluster.log_space().StreamTagsWithPrefix("")) {
-    mix(name);
-    for (const sharedlog::LogRecordPtr& record : cluster.log_space().ReadStream(name)) {
-      for (const auto& [key, field] : record->fields) {
-        mix(key);
-        const int64_t* i = std::get_if<int64_t>(&field);
-        mix(i != nullptr ? std::to_string(*i) : std::get<std::string>(field));
-      }
-    }
-  }
-  run.content_fnv = h;
   return run;
 }
 
@@ -181,22 +167,37 @@ TEST(ClusterTest, DurableGatingDelaysAcksButKeepsContent) {
   GatingRun plain = RunAppendLoad(/*durable=*/false);
   GatingRun durable = RunAppendLoad(/*durable=*/true);
   EXPECT_EQ(durable.appends, plain.appends);
-  EXPECT_EQ(durable.content_fnv, plain.content_fnv);
+  EXPECT_EQ(durable.fp.log_content, plain.fp.log_content);
   EXPECT_GT(durable.median_latency, plain.median_latency);  // The flush gate is on the ack.
 }
 
 // A config that would run a different system than asked for, or hang the simulation (a zero
-// batch cap or slice budget makes every round empty, forever), dies at construction.
+// batch cap or slice budget makes every round empty, forever; a zero-permit station parks
+// every request), dies at construction with a message naming the field.
 TEST(ClusterDeathTest, IncoherentConfigIsRejected) {
-  ClusterConfig no_journal;
-  no_journal.checkpoint = true;
-  EXPECT_DEATH(Cluster cluster(no_journal), "checkpoint=true requires durable=true");
-  ClusterConfig empty_rounds;
-  empty_rounds.append_batch_max = 0;
-  EXPECT_DEATH(Cluster cluster(empty_rounds), "append_batch_max must be >= 1");
-  ClusterConfig empty_slices;
-  empty_slices.checkpoint_slice = 0;
-  EXPECT_DEATH(Cluster cluster(empty_slices), "checkpoint_slice must be >= 1");
+  const std::pair<void (*)(ClusterConfig&), const char*> cases[] = {
+      {[](ClusterConfig& c) { c.checkpoint = true; }, "checkpoint=true requires durable=true"},
+      {[](ClusterConfig& c) { c.append_batch_max = 0; }, "append_batch_max must be >= 1"},
+      {[](ClusterConfig& c) { c.checkpoint_slice = 0; }, "checkpoint_slice must be >= 1"},
+      {[](ClusterConfig& c) { c.function_nodes = 0; }, "function_nodes must be >= 1"},
+      {[](ClusterConfig& c) { c.workers_per_node = 0; }, "workers_per_node must be >= 1"},
+      // Checked before the log is sized: -1 would otherwise ask for 2^32 - 1 shards.
+      {[](ClusterConfig& c) { c.log_shards = 0; }, "log_shards must be >= 1"},
+      {[](ClusterConfig& c) { c.log_shards = -1; }, "log_shards must be >= 1"},
+      {[](ClusterConfig& c) { c.sequencer_servers = 0; }, "sequencer_servers must be >= 1"},
+      {[](ClusterConfig& c) { c.storage_servers = 0; }, "storage_servers must be >= 1"},
+      {[](ClusterConfig& c) { c.db_servers = 0; }, "db_servers must be >= 1"},
+      {[](ClusterConfig& c) { c.append_batch_pipeline = 0; }, "append_batch_pipeline must be"},
+  };
+  for (const auto& [mutate, message] : cases) {
+    ClusterConfig config;
+    mutate(config);
+    EXPECT_DEATH(Cluster cluster(config), message);
+  }
+  ClusterConfig no_queueing;  // Station sizes mean nothing without queueing: zero is fine.
+  no_queueing.model_queueing = false;
+  no_queueing.sequencer_servers = no_queueing.storage_servers = no_queueing.db_servers = 0;
+  EXPECT_EQ(Cluster(no_queueing).node_count(), no_queueing.function_nodes);
 }
 
 TEST(FailureInjectorTest, ScheduledHitsFireExactlyOnce) {

@@ -6,16 +6,16 @@
 //      implementation (golden tuples captured at the previous head). Sharding must be
 //      invisible when disabled.
 //   2. Equivalence at N shards: with log_shards in {2, 4} the same seed must produce the
-//      same committed record content per tag stream, the same event count and end time
-//      (per-shard sequencer rounds draw the same latency samples in the same order), and
-//      a passing consistency oracle. Only the seqnum *encoding* may differ.
+//      same committed record content, the same event count and end time (per-shard
+//      sequencer rounds draw the same latency samples in the same order), and a passing
+//      consistency oracle. Only the seqnum *encoding* may differ.
 //
-// The content checksum walks every live stream in name order and hashes each record's tag
-// count and field map (FNV-1a). Record fields are seqnum-free, so the checksum is invariant
-// under re-encoding — which is exactly the property that makes it a cross-shard witness.
+// Every comparison reads Cluster::Fingerprint() (DESIGN.md §16). Its log_content field is
+// seqnum-free, so it is invariant under re-encoding — which is exactly the property that
+// makes it a cross-shard witness.
 
 #include <cstdint>
-#include <map>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -40,40 +40,8 @@ sim::Task<void> Drive(core::SsfRuntime* runtime, std::string function, Value inp
   *done = true;
 }
 
-uint64_t HashBytes(uint64_t h, std::string_view s) {
-  for (unsigned char c : s) h = (h ^ c) * 1099511628211ull;
-  return h;
-}
-
-uint64_t HashInt(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) h = (h ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ull;
-  return h;
-}
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-
-uint64_t HashStream(const std::vector<sharedlog::LogRecordPtr>& records) {
-  uint64_t h = kFnvOffset;
-  for (const auto& rec : records) {
-    h = HashInt(h, rec->tags.size());
-    for (const auto& [key, field] : rec->fields) {
-      h = HashBytes(h, key);
-      if (const int64_t* i = std::get_if<int64_t>(&field)) {
-        h = HashInt(h, static_cast<uint64_t>(*i));
-      } else {
-        h = HashBytes(h, std::get<std::string>(field));
-      }
-    }
-  }
-  return h;
-}
-
 struct RunResult {
-  uint64_t events = 0;
-  uint64_t end_now = 0;
-  uint64_t next_seqnum = 0;
-  uint64_t content_fnv = 0;                  // All streams folded, name-sorted.
-  std::map<std::string, uint64_t> streams;   // Per-stream checksums, for pinpointing drift.
+  runtime::StateFingerprint fp;
   bool oracle_ok = false;
   std::string oracle_failure;
 };
@@ -102,34 +70,17 @@ RunResult RunWorkload(ProtocolKind protocol, const faultcheck::Workload& workloa
 
   faultcheck::OracleVerdict verdict =
       faultcheck::CheckConsistency(cluster, workload, protocol, /*switching=*/false, results);
+  return RunResult{cluster.Fingerprint(), verdict.ok, verdict.failure};
+}
 
-  RunResult r;
-  r.events = static_cast<uint64_t>(cluster.scheduler().events_processed());
-  r.end_now = static_cast<uint64_t>(cluster.scheduler().Now());
-  r.next_seqnum = static_cast<uint64_t>(cluster.log_space().next_seqnum());
-  r.oracle_ok = verdict.ok;
-  r.oracle_failure = verdict.failure;
-  uint64_t h = kFnvOffset;
-  auto& log = cluster.log_space();
-  for (const std::string& name : log.StreamTagsWithPrefix("")) {
-    h = HashBytes(h, name);
-    std::vector<sharedlog::LogRecordPtr> records = log.ReadStream(name);
-    uint64_t stream_h = HashStream(records);
-    r.streams[name] = stream_h;
-    for (const auto& rec : records) {
-      h = HashInt(h, rec->tags.size());
-      for (const auto& [key, field] : rec->fields) {
-        h = HashBytes(h, key);
-        if (const int64_t* i = std::get_if<int64_t>(&field)) {
-          h = HashInt(h, static_cast<uint64_t>(*i));
-        } else {
-          h = HashBytes(h, std::get<std::string>(field));
-        }
-      }
-    }
-  }
-  r.content_fnv = h;
-  return r;
+// Prints "<head>=<base content> <label>=<other content> match|MISMATCH"; scripts/check.sh
+// greps the '[shards]'/'[pipeline]' head and the ' match' token.
+void Report(const std::string& head, const RunResult& base, const std::string& label,
+            const RunResult& other) {
+  bool match = other.fp.log_content == base.fp.log_content && other.oracle_ok;
+  std::printf("%s=0x%llx %s=0x%llx %s\n", head.c_str(),
+              static_cast<unsigned long long>(base.fp.log_content), label.c_str(),
+              static_cast<unsigned long long>(other.fp.log_content), match ? "match" : "MISMATCH");
 }
 
 const ProtocolKind kProtocols[] = {
@@ -189,18 +140,22 @@ TEST(ShardedEquivalenceTest, OneShardIsBitIdenticalToPreShardingGoldens) {
     RunResult r = RunWorkload(FindProtocol(golden.protocol), *workload, /*log_shards=*/1);
     SCOPED_TRACE(std::string(golden.protocol) + "/" + golden.workload);
     EXPECT_TRUE(r.oracle_ok) << r.oracle_failure;
-    EXPECT_EQ(r.events, golden.events);
-    EXPECT_EQ(r.end_now, golden.end_now);
-    EXPECT_EQ(r.next_seqnum, golden.next_seqnum);
-    EXPECT_EQ(r.content_fnv, golden.content_fnv);
+    EXPECT_EQ(r.fp.events_processed, golden.events);
+    EXPECT_EQ(static_cast<uint64_t>(r.fp.now), golden.end_now);
+    EXPECT_EQ(r.fp.next_seqnum, golden.next_seqnum);
+    EXPECT_EQ(r.fp.log_content, golden.content_fnv);
   }
 }
 
 TEST(ShardedEquivalenceTest, ShardCountsProduceEquivalentExecutions) {
+  // Only log_content, events and the clock are compared. The seqnum encoding depends on the
+  // shard count, and it reaches log_seqnums, next_seqnum and the KV version tuples (whose
+  // cursor_ts is a seqnum), so those fields legitimately differ across shard counts.
   std::vector<faultcheck::Workload> all = faultcheck::AllWorkloads();
   for (ProtocolKind protocol : kProtocols) {
     for (const faultcheck::Workload& workload : all) {
-      SCOPED_TRACE(std::string(core::ProtocolName(protocol)) + "/" + workload.name);
+      std::string pair = std::string(core::ProtocolName(protocol)) + "/" + workload.name;
+      SCOPED_TRACE(pair);
       RunResult base = RunWorkload(protocol, workload, /*log_shards=*/1);
       ASSERT_TRUE(base.oracle_ok) << base.oracle_failure;
       for (int shards : {2, 4}) {
@@ -208,17 +163,10 @@ TEST(ShardedEquivalenceTest, ShardCountsProduceEquivalentExecutions) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
         EXPECT_TRUE(sharded.oracle_ok) << sharded.oracle_failure;
         // Same serial driving, same latency draws: the execution shape is shard-invariant.
-        EXPECT_EQ(sharded.events, base.events);
-        EXPECT_EQ(sharded.end_now, base.end_now);
-        // Content equivalence, stream by stream — only the seqnum encoding may differ.
-        EXPECT_EQ(sharded.streams, base.streams);
-        EXPECT_EQ(sharded.content_fnv, base.content_fnv);
-        std::printf("[shards] %s/%s n1=0x%llx n%d=0x%llx %s\n", core::ProtocolName(protocol),
-                    workload.name.c_str(),
-                    static_cast<unsigned long long>(base.content_fnv), shards,
-                    static_cast<unsigned long long>(sharded.content_fnv),
-                    sharded.content_fnv == base.content_fnv && sharded.oracle_ok ? "match"
-                                                                                : "MISMATCH");
+        EXPECT_EQ(sharded.fp.events_processed, base.fp.events_processed);
+        EXPECT_EQ(sharded.fp.now, base.fp.now);
+        EXPECT_EQ(sharded.fp.log_content, base.fp.log_content);
+        Report("[shards] " + pair + " n1", base, "n" + std::to_string(shards), sharded);
       }
     }
   }
@@ -226,14 +174,16 @@ TEST(ShardedEquivalenceTest, ShardCountsProduceEquivalentExecutions) {
 
 TEST(ShardedEquivalenceTest, PipelineDepthsCommitIdenticalContent) {
   // The pipelined append engine (DESIGN.md §12) commits rounds strictly in departure order,
-  // so at ANY depth the per-stream content, the seqnum supply, and the oracle verdict must
-  // match the serial engine exactly. Event counts and end times legitimately differ — the
-  // dispatcher runs rounds as separate tasks — which is precisely why depth 1 bypasses the
-  // pipelined engine entirely (pinned by OneShardIsBitIdenticalToPreShardingGoldens above).
+  // so at ANY depth the committed content, the seqnum assignment and supply, the KV state and
+  // the oracle verdict must match the serial engine exactly. Event counts and end times
+  // legitimately differ — the dispatcher runs rounds as separate tasks — which is precisely
+  // why depth 1 bypasses the pipelined engine entirely (pinned by
+  // OneShardIsBitIdenticalToPreShardingGoldens above).
   std::vector<faultcheck::Workload> all = faultcheck::AllWorkloads();
   for (ProtocolKind protocol : kProtocols) {
     for (const faultcheck::Workload& workload : all) {
-      SCOPED_TRACE(std::string(core::ProtocolName(protocol)) + "/" + workload.name);
+      std::string pair = std::string(core::ProtocolName(protocol)) + "/" + workload.name;
+      SCOPED_TRACE(pair);
       RunResult base = RunWorkload(protocol, workload, /*log_shards=*/1);
       ASSERT_TRUE(base.oracle_ok) << base.oracle_failure;
       for (int depth : {2, 4, 8}) {
@@ -241,17 +191,11 @@ TEST(ShardedEquivalenceTest, PipelineDepthsCommitIdenticalContent) {
                                       /*read_cache=*/false, depth);
         SCOPED_TRACE("pipeline=" + std::to_string(depth));
         EXPECT_TRUE(piped.oracle_ok) << piped.oracle_failure;
-        EXPECT_EQ(piped.next_seqnum, base.next_seqnum);
-        EXPECT_EQ(piped.streams, base.streams);
-        EXPECT_EQ(piped.content_fnv, base.content_fnv);
-        if (depth == 4) {
-          std::printf("[pipeline] %s/%s d1=0x%llx d%d=0x%llx %s\n",
-                      core::ProtocolName(protocol), workload.name.c_str(),
-                      static_cast<unsigned long long>(base.content_fnv), depth,
-                      static_cast<unsigned long long>(piped.content_fnv),
-                      piped.content_fnv == base.content_fnv && piped.oracle_ok ? "match"
-                                                                              : "MISMATCH");
-        }
+        EXPECT_EQ(piped.fp.next_seqnum, base.fp.next_seqnum);
+        EXPECT_EQ(piped.fp.log_content, base.fp.log_content);
+        EXPECT_EQ(piped.fp.log_seqnums, base.fp.log_seqnums);
+        EXPECT_EQ(piped.fp.kv, base.fp.kv);
+        if (depth == 4) Report("[pipeline] " + pair + " d1", base, "d4", piped);
       }
     }
   }
@@ -259,7 +203,7 @@ TEST(ShardedEquivalenceTest, PipelineDepthsCommitIdenticalContent) {
 
 TEST(ShardedEquivalenceTest, PipelinedShardsCommitIdenticalContent) {
   // Depth and shard count compose: four shards × four in-flight rounds per shard must still
-  // commit the same per-stream content as the serial one-shard log.
+  // commit the same content as the serial one-shard log.
   std::vector<faultcheck::Workload> all = faultcheck::AllWorkloads();
   for (ProtocolKind protocol : kProtocols) {
     const faultcheck::Workload* counter = FindWorkload(all, "counter");
@@ -269,15 +213,15 @@ TEST(ShardedEquivalenceTest, PipelinedShardsCommitIdenticalContent) {
                                   /*read_cache=*/false, /*pipeline_depth=*/4);
     SCOPED_TRACE(core::ProtocolName(protocol));
     EXPECT_TRUE(piped.oracle_ok) << piped.oracle_failure;
-    EXPECT_EQ(piped.streams, base.streams);
-    EXPECT_EQ(piped.content_fnv, base.content_fnv);
+    EXPECT_EQ(piped.fp.log_content, base.fp.log_content);
   }
 }
 
 TEST(ShardedEquivalenceTest, ReadCachePreservesCommittedContent) {
   // The node-local read cache changes read latencies, never the committed log: with the
-  // cache on, per-stream content must match the cache-off run and the oracle must pass.
-  // (Event counts and end times legitimately differ — cache hits skip the storage visit.)
+  // cache on, the committed content, seqnum assignment and KV state must match the cache-off
+  // run and the oracle must pass. (Event counts and end times legitimately differ — cache
+  // hits skip the storage visit.) At four shards only the seqnum-free content is comparable.
   std::vector<faultcheck::Workload> all = faultcheck::AllWorkloads();
   for (ProtocolKind protocol : kProtocols) {
     for (const faultcheck::Workload& workload : all) {
@@ -286,13 +230,14 @@ TEST(ShardedEquivalenceTest, ReadCachePreservesCommittedContent) {
       RunResult cached =
           RunWorkload(protocol, workload, /*log_shards=*/1, /*read_cache=*/true);
       EXPECT_TRUE(cached.oracle_ok) << cached.oracle_failure;
-      EXPECT_EQ(cached.streams, base.streams);
-      EXPECT_EQ(cached.content_fnv, base.content_fnv);
+      EXPECT_EQ(cached.fp.log_content, base.fp.log_content);
+      EXPECT_EQ(cached.fp.log_seqnums, base.fp.log_seqnums);
+      EXPECT_EQ(cached.fp.kv, base.fp.kv);
 
       RunResult cached_sharded =
           RunWorkload(protocol, workload, /*log_shards=*/4, /*read_cache=*/true);
       EXPECT_TRUE(cached_sharded.oracle_ok) << cached_sharded.oracle_failure;
-      EXPECT_EQ(cached_sharded.streams, base.streams);
+      EXPECT_EQ(cached_sharded.fp.log_content, base.fp.log_content);
     }
   }
 }

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/fnv.h"
 #include "src/core/gc_service.h"
 #include "src/core/ssf_runtime.h"
 #include "src/runtime/cluster.h"
@@ -33,18 +34,6 @@ namespace {
 
 using core::ProtocolKind;
 
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvBytes(uint64_t h, std::string_view bytes) {
-  for (char c : bytes) h = (h ^ static_cast<uint8_t>(c)) * kFnvPrime;
-  return h;
-}
-uint64_t FnvU64(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) h = (h ^ ((v >> (8 * i)) & 0xff)) * kFnvPrime;
-  return h;
-}
-
 struct PinCase {
   const char* name;
   ProtocolKind protocol;
@@ -54,7 +43,7 @@ struct PinCase {
 
 struct PinResult {
   int64_t images = 0;
-  uint64_t image_digest = kFnvOffset;  // Manifest fields (but checksum) + image-byte FNVs.
+  uint64_t image_digest = kFnvBasis;  // Manifest fields (but checksum) + image-byte FNVs.
   uint64_t log_journal_fnv = 0;
   uint64_t kv_journal_fnv = 0;
   // log journal, kv journal, log store, kv store: {block_writes, bytes_written, bytes_dropped}.
@@ -83,7 +72,7 @@ void ScanManifests(const storage::CheckpointStore& store, uint64_t* scanned, Pin
       h = FnvU64(h, m.image_start);
       h = FnvU64(h, m.frame_count);
       h = FnvU64(h, m.watermark_floor);
-      h = FnvU64(h, FnvBytes(kFnvOffset, buffer.ReadDurable(m.image_start, off - m.image_start)));
+      h = FnvU64(h, FnvBytes(kFnvBasis, buffer.ReadDurable(m.image_start, off - m.image_start)));
       out->image_digest = h;
       ++out->images;
     }
@@ -94,7 +83,7 @@ void ScanManifests(const storage::CheckpointStore& store, uint64_t* scanned, Pin
 
 uint64_t JournalFnv(const storage::DurabilityService& journal) {
   const storage::BlockDevice& device = journal.device();
-  return FnvBytes(kFnvOffset, device.Read(device.base(), device.size() - device.base()));
+  return FnvBytes(kFnvBasis, device.Read(device.base(), device.size() - device.base()));
 }
 
 void AppendDeviceStats(const storage::BlockDevice& device, std::vector<int64_t>* out) {

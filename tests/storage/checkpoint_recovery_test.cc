@@ -1,6 +1,6 @@
 // Cluster-grain checkpoint recovery (DESIGN.md §14): after a checkpoint round, a whole-node
 // crash-restart must come up through load-image + replay-suffix — bit-identical to the state
-// a full replay would rebuild (pinned by an FNV-1a content checksum, like recovery_test) but
+// a full replay would rebuild (compared through Cluster::Fingerprint(), like recovery_test) but
 // touching only the journal suffix above the manifest's cut. Also covers the fallback chain
 // (corrupt newest image -> previous manifest -> full replay), recovery idempotence, seqnum
 // exactness across truncation, and checkpoint=false bit-identity with the durable-only engine.
@@ -30,59 +30,7 @@ namespace halfmoon::runtime {
 namespace {
 
 using kvstore::VersionTuple;
-using sharedlog::LogRecordPtr;
 using sharedlog::SeqNum;
-using sharedlog::TagId;
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvBytes(uint64_t h, const void* data, size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  return h;
-}
-uint64_t FnvU64(uint64_t h, uint64_t v) { return FnvBytes(h, &v, sizeof(v)); }
-uint64_t FnvStr(uint64_t h, const std::string& s) { return FnvBytes(h, s.data(), s.size()); }
-
-// Same content checksum as recovery_test: live tag streams with seqnums and field maps,
-// the allocator position, the KV latest slots and version index.
-uint64_t StateChecksum(Cluster& cluster, const std::vector<std::string>& kv_keys,
-                       const std::vector<TagId>& objects) {
-  uint64_t combined = 0;
-  sharedlog::ShardedLog& log = cluster.log_space();
-  for (TagId tag : log.LiveTagsWithPrefix("")) {
-    uint64_t h = kFnvOffset;
-    h = FnvStr(h, log.tags().Name(tag));
-    for (const LogRecordPtr& record : log.ReadStreamUpTo(tag, sharedlog::kMaxSeqNum)) {
-      h = FnvU64(h, record->seqnum);
-      for (const auto& [key, field] : record->fields) {
-        h = FnvStr(h, key);
-        if (const int64_t* iv = std::get_if<int64_t>(&field)) {
-          h = FnvU64(h, static_cast<uint64_t>(*iv));
-        } else {
-          h = FnvStr(h, std::get<std::string>(field));
-        }
-      }
-    }
-    combined ^= h;
-  }
-  uint64_t kv_hash = kFnvOffset;
-  kv_hash = FnvU64(kv_hash, log.next_seqnum());
-  for (const std::string& key : kv_keys) {
-    kv_hash = FnvStr(kv_hash, key);
-    auto value = cluster.kv_state().Get(key);
-    kv_hash = FnvStr(kv_hash, value.has_value() ? *value : std::string("<missing>"));
-    auto version = cluster.kv_state().GetVersion(key);
-    kv_hash = FnvU64(kv_hash, version.has_value() ? version->cursor_ts : ~0ull);
-    kv_hash = FnvU64(kv_hash, version.has_value() ? version->counter : ~0ull);
-  }
-  for (TagId object : objects) {
-    kv_hash = FnvU64(kv_hash, object);
-    kv_hash = FnvU64(kv_hash, cluster.kv_state().VersionCount(object));
-  }
-  return combined ^ kv_hash;
-}
 
 ClusterConfig CheckpointConfig() {
   ClusterConfig config = testing::ClusterConfigFromEnv();
@@ -126,9 +74,6 @@ sim::Task<void> PopulateWorkload(Cluster* cluster, int rounds) {
   }
 }
 
-const std::vector<std::string> kKvKeys = {"a", "b"};
-const std::vector<TagId> kObjects = {1};
-
 // Runs one checkpoint round to completion on a drained cluster.
 void CheckpointOnce(Cluster& cluster) {
   ASSERT_NE(cluster.checkpoint_service(), nullptr);
@@ -160,11 +105,11 @@ TEST(CheckpointRecoveryTest, ImagePlusSuffixMatchesFullReplayExactly) {
     cluster.scheduler().Run();
 
     // Full-replay reference first (no checkpoint taken yet).
-    uint64_t before = StateChecksum(cluster, kKvKeys, kObjects);
+    StateFingerprint before = cluster.Fingerprint().CommittedState();
     cluster.KillRestartStorage();
     EXPECT_FALSE(cluster.last_log_recovery().used_checkpoint);
     int64_t full_replay_frames = cluster.last_log_recovery().suffix_frames;
-    EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), before);
+    EXPECT_EQ(cluster.Fingerprint().CommittedState(), before);
 
     // Checkpoint, then keep running: the post-checkpoint ops form the replay suffix.
     CheckpointOnce(cluster);
@@ -178,7 +123,7 @@ TEST(CheckpointRecoveryTest, ImagePlusSuffixMatchesFullReplayExactly) {
     cluster.scheduler().Spawn(PopulateWorkload(&cluster, 3));
     cluster.scheduler().Run();
 
-    uint64_t acked = StateChecksum(cluster, kKvKeys, kObjects);
+    StateFingerprint acked = cluster.Fingerprint().CommittedState();
     cluster.KillRestartStorage();
     PrintRecovery("post-checkpoint", cluster);
     EXPECT_TRUE(cluster.last_log_recovery().used_checkpoint);
@@ -187,7 +132,7 @@ TEST(CheckpointRecoveryTest, ImagePlusSuffixMatchesFullReplayExactly) {
     EXPECT_GT(cluster.last_kv_recovery().image_frames, 0);
     // The suffix is bounded by the post-checkpoint work, not the whole history.
     EXPECT_LT(cluster.last_log_recovery().suffix_frames, full_replay_frames);
-    EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), acked);
+    EXPECT_EQ(cluster.Fingerprint().CommittedState(), acked);
   }
 }
 
@@ -201,9 +146,9 @@ TEST(CheckpointRecoveryTest, RecoveryIsIdempotentAndSeqnumExact) {
 
   SeqNum next_before = cluster.log_space().next_seqnum();
   cluster.KillRestartStorage();
-  uint64_t first = StateChecksum(cluster, kKvKeys, kObjects);
+  StateFingerprint first = cluster.Fingerprint().CommittedState();
   cluster.KillRestartStorage();
-  uint64_t second = StateChecksum(cluster, kKvKeys, kObjects);
+  StateFingerprint second = cluster.Fingerprint().CommittedState();
   EXPECT_EQ(first, second);
 
   // Seqnum exactness across truncation: the restored allocator never re-issues a seqnum that
@@ -241,12 +186,12 @@ TEST(CheckpointRecoveryTest, CorruptOnlyImageFallsBackToFullReplay) {
   cluster.log_checkpoint_store()->CorruptDurableByteForTest(manifest.manifest.image_start +
                                                             storage::kFrameHeaderBytes + 1);
 
-  uint64_t before = StateChecksum(cluster, kKvKeys, kObjects);
+  StateFingerprint before = cluster.Fingerprint().CommittedState();
   cluster.KillRestartStorage();
   PrintRecovery("corrupt-image", cluster);
   EXPECT_FALSE(cluster.last_log_recovery().used_checkpoint);
   EXPECT_EQ(cluster.last_log_recovery().manifests_rejected, 1);
-  EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), before);
+  EXPECT_EQ(cluster.Fingerprint().CommittedState(), before);
 }
 
 TEST(CheckpointRecoveryTest, CorruptNewestImageFallsBackToThePreviousManifest) {
@@ -270,12 +215,12 @@ TEST(CheckpointRecoveryTest, CorruptNewestImageFallsBackToThePreviousManifest) {
   cluster.log_checkpoint_store()->CorruptDurableByteForTest(newest.manifest.image_start +
                                                             storage::kFrameHeaderBytes + 1);
 
-  uint64_t before = StateChecksum(cluster, kKvKeys, kObjects);
+  StateFingerprint before = cluster.Fingerprint().CommittedState();
   cluster.KillRestartStorage();
   PrintRecovery("fallback-previous", cluster);
   EXPECT_TRUE(cluster.last_log_recovery().used_checkpoint);
   EXPECT_EQ(cluster.last_log_recovery().manifests_rejected, 1);
-  EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), before);
+  EXPECT_EQ(cluster.Fingerprint().CommittedState(), before);
 }
 
 TEST(CheckpointRecoveryTest, KillMidRoundAbandonsAndRecoversFromTheJournal) {
@@ -283,7 +228,7 @@ TEST(CheckpointRecoveryTest, KillMidRoundAbandonsAndRecoversFromTheJournal) {
   cluster.scheduler().Spawn(PopulateWorkload(&cluster, 8));
   cluster.scheduler().Run();
 
-  uint64_t before = StateChecksum(cluster, kKvKeys, kObjects);
+  StateFingerprint before = cluster.Fingerprint().CommittedState();
   // The kill lands while the round is in flight (trigger, then restart without draining):
   // the round must die with the node, not stamp a manifest over post-recovery state.
   ASSERT_TRUE(cluster.checkpoint_service()->TriggerRound());
@@ -292,7 +237,7 @@ TEST(CheckpointRecoveryTest, KillMidRoundAbandonsAndRecoversFromTheJournal) {
   EXPECT_GT(cluster.checkpoint_service()->stats().rounds_abandoned, 0);
   cluster.scheduler().Run();  // The stale round's coroutine drains harmlessly.
   EXPECT_EQ(cluster.checkpoint_service()->stats().manifests_written, 0);
-  EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), before);
+  EXPECT_EQ(cluster.Fingerprint().CommittedState(), before);
 }
 
 TEST(CheckpointRecoveryTest, CheckpointOffIsBitIdenticalToTheDurableEngine) {
@@ -311,17 +256,14 @@ TEST(CheckpointRecoveryTest, CheckpointOffIsBitIdenticalToTheDurableEngine) {
 
   EXPECT_EQ(reference.checkpoint_service(), nullptr);
   EXPECT_NE(with_tier.checkpoint_service(), nullptr);
-  EXPECT_EQ(with_tier.scheduler().events_processed(), reference.scheduler().events_processed());
-  EXPECT_EQ(with_tier.scheduler().Now(), reference.scheduler().Now());
-  EXPECT_EQ(StateChecksum(with_tier, kKvKeys, kObjects),
-            StateChecksum(reference, kKvKeys, kObjects));
+  EXPECT_EQ(with_tier.Fingerprint(), reference.Fingerprint());
 
   // And recovery without the tier still full-replays identically.
-  uint64_t before = StateChecksum(reference, kKvKeys, kObjects);
+  StateFingerprint before = reference.Fingerprint().CommittedState();
   reference.KillRestartStorage();
   PrintRecovery("checkpoint-off", reference);
   EXPECT_FALSE(reference.last_log_recovery().used_checkpoint);
-  EXPECT_EQ(StateChecksum(reference, kKvKeys, kObjects), before);
+  EXPECT_EQ(reference.Fingerprint().CommittedState(), before);
 }
 
 TEST(CheckpointRecoveryTest, GcFrontierIsClampedWhileARoundIsInFlight) {

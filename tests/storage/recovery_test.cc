@@ -1,8 +1,9 @@
 // Crash-restart recovery at the cluster grain (DESIGN.md §13): a node kill wipes every
 // volatile structure, and journal replay must rebuild the shared log's tag indices and the
 // KV store's version index to exactly the acknowledged state. Replay is also idempotent —
-// replaying the same durable prefix twice yields bit-identical state (the recovery-
-// idempotence satellite of this PR) — pinned here by an FNV-1a content checksum.
+// replaying the same durable prefix twice yields bit-identical state. State is compared
+// through Cluster::Fingerprint(): the log's content and seqnum assignment, the whole KV store
+// and the seqnum supply.
 
 #include <cstdint>
 #include <string>
@@ -24,60 +25,6 @@ namespace {
 using kvstore::VersionTuple;
 using sharedlog::LogRecordPtr;
 using sharedlog::SeqNum;
-using sharedlog::TagId;
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvBytes(uint64_t h, const void* data, size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  return h;
-}
-uint64_t FnvU64(uint64_t h, uint64_t v) { return FnvBytes(h, &v, sizeof(v)); }
-uint64_t FnvStr(uint64_t h, const std::string& s) { return FnvBytes(h, s.data(), s.size()); }
-
-// Content checksum of the rebuilt state: every live tag's stream (name, seqnums, field maps)
-// XOR-folded, plus the KV latest slots and version index of the keys/objects the test wrote.
-// Seqnums ARE included — recovery must rebuild the identical assignment, not merely the same
-// per-tag order.
-uint64_t StateChecksum(Cluster& cluster, const std::vector<std::string>& kv_keys,
-                       const std::vector<TagId>& objects) {
-  uint64_t combined = 0;
-  sharedlog::ShardedLog& log = cluster.log_space();
-  for (TagId tag : log.LiveTagsWithPrefix("")) {
-    uint64_t h = kFnvOffset;
-    h = FnvStr(h, log.tags().Name(tag));
-    for (const LogRecordPtr& record : log.ReadStreamUpTo(tag, sharedlog::kMaxSeqNum)) {
-      h = FnvU64(h, record->seqnum);
-      for (const auto& [key, field] : record->fields) {
-        h = FnvStr(h, key);
-        if (const int64_t* iv = std::get_if<int64_t>(&field)) {
-          h = FnvU64(h, static_cast<uint64_t>(*iv));
-        } else {
-          h = FnvStr(h, std::get<std::string>(field));
-        }
-      }
-    }
-    combined ^= h;
-  }
-
-  uint64_t kv_hash = kFnvOffset;
-  kv_hash = FnvU64(kv_hash, log.next_seqnum());
-  for (const std::string& key : kv_keys) {
-    kv_hash = FnvStr(kv_hash, key);
-    auto value = cluster.kv_state().Get(key);
-    kv_hash = FnvStr(kv_hash, value.has_value() ? *value : std::string("<missing>"));
-    auto version = cluster.kv_state().GetVersion(key);
-    kv_hash = FnvU64(kv_hash, version.has_value() ? version->cursor_ts : ~0ull);
-    kv_hash = FnvU64(kv_hash, version.has_value() ? version->counter : ~0ull);
-  }
-  for (TagId object : objects) {
-    kv_hash = FnvU64(kv_hash, object);
-    kv_hash = FnvU64(kv_hash, cluster.kv_state().VersionCount(object));
-  }
-  return combined ^ kv_hash;
-}
 
 ClusterConfig DurableConfig() {
   ClusterConfig config = testing::ClusterConfigFromEnv();
@@ -110,9 +57,6 @@ sim::Task<void> PopulateWorkload(Cluster* cluster) {
   co_await kv.DeleteVersioned(1, "v1");
 }
 
-const std::vector<std::string> kKvKeys = {"a", "b"};
-const std::vector<TagId> kObjects = {1};
-
 TEST(RecoveryTest, StorageKillRebuildsLogAndKvExactly) {
   Cluster cluster(DurableConfig());
   cluster.scheduler().Spawn(PopulateWorkload(&cluster));
@@ -124,10 +68,10 @@ TEST(RecoveryTest, StorageKillRebuildsLogAndKvExactly) {
   EXPECT_EQ(cluster.log_durability()->durable_offset(),
             cluster.log_durability()->tail_offset());
 
-  uint64_t before = StateChecksum(cluster, kKvKeys, kObjects);
+  StateFingerprint before = cluster.Fingerprint().CommittedState();
   size_t live_before = cluster.log_space().live_records();
   cluster.KillRestartStorage();
-  EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), before);
+  EXPECT_EQ(cluster.Fingerprint().CommittedState(), before);
   EXPECT_EQ(cluster.log_space().live_records(), live_before);
   EXPECT_EQ(cluster.kv_state().Get("a"), std::optional<Value>("va"));
   EXPECT_EQ(cluster.kv_state().VersionCount(1), 1u);  // v1 deleted, v2 live.
@@ -142,9 +86,9 @@ TEST(RecoveryTest, ReplayIsIdempotent) {
   cluster.scheduler().Run();
 
   cluster.KillRestartStorage();
-  uint64_t first = StateChecksum(cluster, kKvKeys, kObjects);
+  StateFingerprint first = cluster.Fingerprint().CommittedState();
   cluster.KillRestartStorage();
-  uint64_t second = StateChecksum(cluster, kKvKeys, kObjects);
+  StateFingerprint second = cluster.Fingerprint().CommittedState();
   EXPECT_EQ(first, second);
   EXPECT_EQ(cluster.log_durability()->stats().kills, 2);
 }
@@ -154,9 +98,9 @@ TEST(RecoveryTest, SequencerKillSparesTheKvJournal) {
   cluster.scheduler().Spawn(PopulateWorkload(&cluster));
   cluster.scheduler().Run();
 
-  uint64_t before = StateChecksum(cluster, kKvKeys, kObjects);
+  StateFingerprint before = cluster.Fingerprint().CommittedState();
   cluster.KillRestartSequencer();
-  EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), before);
+  EXPECT_EQ(cluster.Fingerprint().CommittedState(), before);
   EXPECT_EQ(cluster.log_durability()->stats().kills, 1);
   EXPECT_EQ(cluster.kv_durability()->stats().kills, 0);  // Separate devices, separate fate.
 }
@@ -195,10 +139,10 @@ TEST(RecoveryTest, FunctionNodeKillOnlyDropsSoftState) {
   cluster.scheduler().Spawn(PopulateWorkload(&cluster));
   cluster.scheduler().Run();
 
-  uint64_t before = StateChecksum(cluster, kKvKeys, kObjects);
+  StateFingerprint before = cluster.Fingerprint().CommittedState();
   cluster.KillRestartFunctionNode(0);
   EXPECT_EQ(cluster.node(0).log().indexed_upto(), 0u);
-  EXPECT_EQ(StateChecksum(cluster, kKvKeys, kObjects), before);
+  EXPECT_EQ(cluster.Fingerprint().CommittedState(), before);
   // The index replica recovers by reading (sync-on-miss), so reads still work.
   LogRecordPtr latest;
   cluster.scheduler().Spawn(
