@@ -694,7 +694,7 @@ AuditResult RunZeroCopyAudit() {
   Rng rng{11};
   LatencyModels models;
   sharedlog::LogSpace space;
-  sharedlog::LogClient client{&scheduler, &rng, &models, &space, nullptr, nullptr};
+  sharedlog::LogClient client{&scheduler, &rng, &models, &space, {}, nullptr};
   scheduler.Spawn([](sharedlog::LogClient* log) -> sim::Task<void> {
     for (int i = 0; i < 64; ++i) {
       FieldMap fields;
@@ -917,7 +917,7 @@ void Report() {
     HM_CHECK_MSG(pipe_d1.content == r->content, "pipelining changed committed log content");
     HM_CHECK(pipe_d1.appends == r->appends);
   }
-  HM_CHECK_MSG(pipe_d1.rounds_overlapped == 0, "serial engine overlapped rounds");
+  HM_CHECK_MSG(pipe_d1.rounds_overlapped == 0, "depth 1 overlapped rounds");
   HM_CHECK(pipe_d4.append_rounds == 384);
   HM_CHECK(pipe_d4.rounds_overlapped == 381);
   HM_CHECK(pipe_d4.max_inflight == 4);

@@ -40,7 +40,7 @@
 #include "bench/bench_common.h"
 #include "src/common/check.h"
 #include "src/runtime/cluster.h"
-#include "src/sharedlog/sharded_log.h"
+#include "src/sharedlog/log_space.h"
 #include "src/storage/checkpoint.h"
 #include "src/storage/durability.h"
 #include "src/workloads/loadgen.h"
@@ -142,7 +142,7 @@ RecoveryAtScale RunRecoveryAtScale(int64_t records) {
   ccfg.workers_per_node = 1;
   ccfg.durable = true;
   runtime::Cluster cluster(ccfg);
-  sharedlog::ShardedLog& log = cluster.log_space();
+  sharedlog::LogSpace& log = cluster.log_space();
 
   // A realistic record shape: one object tag out of a 256-stream keyspace, an op marker and
   // a step counter — ~90 journal bytes per record, the Table 1 microop ballpark.
@@ -247,7 +247,7 @@ CheckpointRun RunCheckpointedRecovery(int64_t records, int64_t interval) {
   ccfg.checkpoint = interval > 0;
   ccfg.checkpoint_trigger_bytes = 0;  // Rounds driven by the record-count interval below.
   runtime::Cluster cluster(ccfg);
-  sharedlog::ShardedLog& log = cluster.log_space();
+  sharedlog::LogSpace& log = cluster.log_space();
 
   constexpr int kStreams = 256;
   constexpr size_t kLivePerStream = 32;

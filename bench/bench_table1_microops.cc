@@ -27,7 +27,7 @@ struct MicroFixture {
   LatencyModels models;
   sharedlog::LogSpace space;
   kvstore::KvState state;
-  sharedlog::LogClient log{&scheduler, &rng, &models, &space, nullptr, nullptr};
+  sharedlog::LogClient log{&scheduler, &rng, &models, &space, {}, nullptr};
   kvstore::KvClient kv{&scheduler, &rng, &models, &state, nullptr};
 };
 
@@ -48,7 +48,7 @@ metrics::LatencyRecorder RunNodeCacheMicroOp(int count, sharedlog::LogClientStat
   sim::Scheduler scheduler;
   Rng rng{1};
   LatencyModels models;
-  sharedlog::ShardedLog log_space{1};
+  sharedlog::LogSpace log_space;
   sharedlog::LogClient log{&scheduler,
                            &rng,
                            &models,

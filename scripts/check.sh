@@ -34,6 +34,26 @@ if grep -rn '1099511628211' src tests bench | grep -v '^src/common/fnv\.h:'; the
   exit 1
 fi
 
+# One append round per layer (DESIGN.md §12): the append latency is sampled in exactly two
+# places under src/sharedlog/ — LogClient's per-request round and AppendBatcher's dispatcher.
+# A third sample means an append round was written out again instead of reused.
+append_samples=$(grep -ro 'log_append\.Sample' src/sharedlog | wc -l || true)
+if [ "${append_samples}" -ne 2 ]; then
+  grep -rn 'log_append\.Sample' src/sharedlog >&2 || true
+  echo "check.sh: FAIL — log_append.Sample appears ${append_samples} times under" \
+    "src/sharedlog/ (expected 2: the per-request round and the batcher dispatcher)" >&2
+  exit 1
+fi
+
+# Prints a smoke leg's summary lines to stderr and fails the run with `message` unless they
+# contain `want`. A plain echo, not `tee /dev/stderr`: tee reopens fd 2 with O_TRUNC, so a
+# log saved with `scripts/check.sh > check.log 2>&1` would lose everything before the leg.
+require_lines() {
+  local lines="$1" want="$2" message="$3"
+  echo "${lines}" >&2
+  grep -q -- "${want}" <<<"${lines}" || { echo "check.sh: FAIL — ${message}" >&2; exit 1; }
+}
+
 cmake -B "${BUILD_DIR}" -S . -DHM_WERROR=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure
@@ -49,19 +69,18 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
 # Shard-equivalence smoke: the same seed through a 1-shard and a 4-shard log must commit
 # identical per-stream content (FNV checksums printed per protocol/workload pair). Any
 # MISMATCH line — or a missing match line — fails the run.
-"${BUILD_DIR}"/tests/sharded_equivalence_test \
+shard_lines=$("${BUILD_DIR}"/tests/sharded_equivalence_test \
   --gtest_filter='ShardedEquivalenceTest.ShardCountsProduceEquivalentExecutions' \
-  --gtest_brief=1 | grep '^\[shards\]' | tee /dev/stderr | grep -q ' match' \
-  || { echo "check.sh: FAIL — shard-equivalence checksums diverged" >&2; exit 1; }
+  --gtest_brief=1 | grep '^\[shards\]' || true)
+require_lines "${shard_lines}" ' match' "shard-equivalence checksums diverged"
 
-# Pipeline smoke: the same seed through the serial (depth 1) and pipelined (depth 2/4/8)
-# group-commit engines must commit identical per-stream content (FNV checksums printed per
-# protocol/workload pair at depth 4). Any MISMATCH line — or a missing match line — fails
-# the run.
-"${BUILD_DIR}"/tests/sharded_equivalence_test \
+# Pipeline smoke: the same seed through group commit at depth 1 and at depth 2/4/8 must
+# commit identical per-stream content (FNV checksums printed per protocol/workload pair at
+# depth 4). Any MISMATCH line — or a missing match line — fails the run.
+pipeline_lines=$("${BUILD_DIR}"/tests/sharded_equivalence_test \
   --gtest_filter='ShardedEquivalenceTest.PipelineDepthsCommitIdenticalContent' \
-  --gtest_brief=1 | grep '^\[pipeline\]' | tee /dev/stderr | grep -q ' match' \
-  || { echo "check.sh: FAIL — pipeline-depth checksums diverged" >&2; exit 1; }
+  --gtest_brief=1 | grep '^\[pipeline\]' || true)
+require_lines "${pipeline_lines}" ' match' "pipeline-depth checksums diverged"
 
 # Faultcheck smoke: re-run the schedule-explorer suites standalone so the explored-schedule
 # counts are visible in the log (ctest swallows the stdout of passing tests). Set
@@ -83,17 +102,18 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure
 # the equivalence assertions, so the 'mode=image+suffix' line is enforced here. Leg 2: the
 # checkpoint-round failure sweeps (daemon crashes inside a round, node kills around one)
 # must pass the consistency oracle; 'failures=0' is enforced by the test itself.
-"${BUILD_DIR}"/tests/checkpoint_recovery_test \
-  --gtest_brief=1 | grep '^\[checkpoint\]' | tee /dev/stderr | grep -q 'mode=image+suffix' \
-  || { echo "check.sh: FAIL — checkpointed recovery silently fell back to full replay" >&2; exit 1; }
+checkpoint_lines=$("${BUILD_DIR}"/tests/checkpoint_recovery_test \
+  --gtest_brief=1 | grep '^\[checkpoint\]' || true)
+require_lines "${checkpoint_lines}" 'mode=image+suffix' \
+  "checkpointed recovery silently fell back to full replay"
 "${BUILD_DIR}"/tests/faultcheck_checkpoint_test --gtest_brief=1 | grep '^\[faultcheck\]'
 
 # Advisor smoke (DESIGN.md §11): the drift byte gate (advisor strictly below both static
 # protocols), the hysteresis/dwell counters, and the advisor-off golden content checksum,
 # surfaced via their '[advisor]' summary lines. A missing 'win' line — the byte gate — or a
 # missing pinned-checksum line fails the run.
-"${BUILD_DIR}"/tests/online_advisor_test --gtest_brief=1 | grep '^\[advisor\]' \
-  | tee /dev/stderr | grep -q ' win' \
-  || { echo "check.sh: FAIL — advisor drift byte gate did not report a win" >&2; exit 1; }
+advisor_lines=$("${BUILD_DIR}"/tests/online_advisor_test --gtest_brief=1 \
+  | grep '^\[advisor\]' || true)
+require_lines "${advisor_lines}" ' win' "advisor drift byte gate did not report a win"
 
 echo "check.sh: all tests passed"

@@ -27,7 +27,7 @@ sim::Task<void> GcService::Loop() {
 
 void GcService::RunOnce() {
   ++stats_.scans;
-  sharedlog::ShardedLog& log = cluster_->log_space();
+  sharedlog::LogSpace& log = cluster_->log_space();
   kvstore::KvState& kv = cluster_->kv_state();
   SimTime now = cluster_->scheduler().Now();
 

@@ -74,7 +74,7 @@ void OnlineAdvisor::RunOnce() {
     last_epoch_at_ = now;
   }
 
-  sharedlog::ShardedLog& log = cluster.log_space();
+  sharedlog::LogSpace& log = cluster.log_space();
   sharedlog::TagRegistry& tags = log.tags();
   const metrics::WorkloadSketch& sketch = runtime_->sketch();
   const ProtocolKind default_protocol = runtime_->config().default_protocol;

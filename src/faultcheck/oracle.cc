@@ -24,7 +24,7 @@ std::string Show(const Value& value) {
 // committed write-log record whose version is missing from the store.
 bool ObservableValue(runtime::Cluster& cluster, core::ProtocolKind protocol, bool switching,
                      const std::string& key, Value* out, std::string* error) {
-  sharedlog::ShardedLog& log = cluster.log_space();
+  sharedlog::LogSpace& log = cluster.log_space();
   kvstore::KvState& kv = cluster.kv_state();
 
   sharedlog::TagId write_tag =

@@ -29,7 +29,6 @@
 #include "src/sharedlog/log_client.h"
 #include "src/sharedlog/log_recovery.h"
 #include "src/sharedlog/log_space.h"
-#include "src/sharedlog/sharded_log.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/service_station.h"
 #include "src/storage/checkpoint.h"
@@ -81,7 +80,7 @@ struct ClusterConfig {
   // AppendBatchConfig: a 0 µs window keeps isolated appends at exactly the unbatched latency,
   // and max (>= 1) caps requests per sequencer round. append_batch_pipeline > 1 keeps that
   // many sequencer rounds in flight per node-shard, committed strictly in departure order
-  // (DESIGN.md §12); 1 is bit-identical to the serial engine.
+  // (DESIGN.md §12); 1 runs one round at a time.
   bool group_commit_appends = true;
   SimDuration append_batch_window = 0;
   int append_batch_max = 64;
@@ -144,7 +143,7 @@ std::ostream& operator<<(std::ostream& os, const StateFingerprint& f);
 class FunctionNode {
  public:
   FunctionNode(int id, sim::Scheduler* scheduler, Rng* rng, const LatencyModels* models,
-               sharedlog::ShardedLog* log_space, kvstore::KvState* kv_state,
+               sharedlog::LogSpace* log_space, kvstore::KvState* kv_state,
                std::vector<sim::ServiceStation*> sequencers, sim::ServiceStation* storage,
                sim::ServiceStation* db, int workers, sharedlog::AppendBatchConfig batch,
                bool read_cache)
@@ -177,7 +176,7 @@ class Cluster {
   const LatencyModels& models() const { return models_; }
   const ClusterConfig& config() const { return config_; }
 
-  sharedlog::ShardedLog& log_space() { return log_space_; }
+  sharedlog::LogSpace& log_space() { return log_space_; }
   kvstore::KvState& kv_state() { return kv_state_; }
   FailureInjector& failure_injector() { return injector_; }
 
@@ -313,7 +312,7 @@ class Cluster {
   Rng rng_;
   LatencyModels models_;
 
-  sharedlog::ShardedLog log_space_;
+  sharedlog::LogSpace log_space_;
   kvstore::KvState kv_state_;
 
   // One sequencer station per log shard (empty when queueing is off).

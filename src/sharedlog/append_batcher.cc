@@ -17,15 +17,11 @@ void AppendBatcher::Enqueue(Submission* submission) {
   }
   tail_ = submission;
   if (!round_loop_active_) {
-    // The engine starts via Spawn at delay 0, so an isolated request departs at the time it
-    // was submitted — same latency as the unbatched path. Requests submitted while a round
+    // The dispatcher starts via Spawn at delay 0, so an isolated request departs at the time
+    // it was submitted — same latency as the unbatched path. Requests submitted while a round
     // is in flight accumulate here and depart together in a later round.
     round_loop_active_ = true;
-    if (config_.pipeline_depth > 1) {
-      owner_->scheduler_->Spawn(RunPipeline());
-    } else {
-      owner_->scheduler_->Spawn(RunRounds());
-    }
+    owner_->scheduler_->Spawn(RunPipeline());
   }
 }
 
@@ -45,10 +41,11 @@ void AppendBatcher::DetachRound(std::vector<Submission*>* round,
   }
 }
 
-void AppendBatcher::CommitRound(LogSpace* space, std::vector<Submission*>& round,
+void AppendBatcher::CommitRound(std::vector<Submission*>& round,
                                 std::vector<LogSpace::GroupRequest> requests) {
+  LogSpace* log = owner_->log_;
   std::vector<LogSpace::GroupVerdict> verdicts =
-      space->AppendGroup(owner_->scheduler_->Now(), std::move(requests));
+      log->AppendGroup(owner_->scheduler_->Now(), std::move(requests));
   HM_CHECK(verdicts.size() == round.size());
   bool any_committed = false;
   for (size_t i = 0; i < round.size(); ++i) {
@@ -59,7 +56,7 @@ void AppendBatcher::CommitRound(LogSpace* space, std::vector<Submission*>& round
   if (any_committed) {
     // The node learns the round's seqnums with the reply (AppendGroup ran synchronously,
     // so next_seqnum() - 1 is exactly the round's last committed record).
-    owner_->AdvanceIndex(space->next_seqnum() - 1);
+    owner_->AdvanceIndex(log->next_seqnum() - 1);
   }
 }
 
@@ -103,7 +100,7 @@ void AppendBatcher::RaiseCrash(const char* site) const {
 }
 
 void AppendBatcher::UpdateController(size_t occupancy, bool backlog) {
-  if (!config_.adaptive) return;
+  if (!config_.adaptive || config_.pipeline_depth <= 1) return;
   LogClientStats& stats = owner_->stats_;
   if (occupancy <= 1 && in_flight_ <= 1) {
     // Isolated traffic: this singleton round is the only thing in flight. Decay toward the
@@ -156,53 +153,15 @@ void AppendBatcher::WakeCommitWaiter() {
   }
 }
 
-// Serial engine — the pre-pipelining implementation, kept verbatim (plus the no-cost crash
-// probes) because the PR 4 golden tuples pin its exact event sequence.
-sim::Task<void> AppendBatcher::RunRounds() {
-  LogSpace* space = space_ != nullptr ? space_ : owner_->space_;
-  sim::ServiceStation* station = station_ != nullptr ? station_ : owner_->sequencer_station_;
-  while (head_ != nullptr) {
-    if (config_.window > 0) {
-      // Hold the departure open so near-simultaneous requests can still join this round.
-      co_await owner_->scheduler_->Delay(config_.window);
-    }
-
-    // Detach up to max_batch submissions in FIFO order; later arrivals ride the next round.
-    std::vector<Submission*> round;
-    std::vector<LogSpace::GroupRequest> requests;
-    DetachRound(&round, &requests);
-    ++owner_->stats_.pipeline_inflight_hist[1];
-    ProbeDepartCrash(round);
-
-    // One sequencer round for the whole group: the same leg/service split as an unbatched
-    // append, sampled once, so requests sharing a round share its latency.
-    SimDuration total = owner_->models_->log_append.Sample(*owner_->rng_);
-    auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
-    co_await owner_->scheduler_->Delay(leg);
-    co_await owner_->SequencerRoundAt(station, total);
-    CommitRound(space, round, std::move(requests));
-    co_await owner_->scheduler_->Delay(leg);  // Shared reply leg.
-    ProbeReplyCrash(round);
-
-    // Wake the round's submitters in submission order; they all resume at the reply time.
-    for (Submission* s : round) {
-      if (s == nullptr) continue;
-      owner_->scheduler_->PostResume(0, s->waiter);
-    }
-  }
-  round_loop_active_ = false;
-}
-
-// Pipelined dispatcher: detaches rounds in FIFO order and launches each as its own task,
-// keeping up to EffectiveDepth() rounds in flight. The latency sample is drawn HERE, in
-// departure order, so the stream of draws is deterministic regardless of how the in-flight
-// rounds interleave.
+// Dispatcher: detaches rounds in FIFO order and runs each as its own task, keeping up to
+// effective_depth_ rounds in flight. The latency sample is drawn HERE, in departure order, so
+// the stream of draws is deterministic regardless of how the in-flight rounds interleave.
 sim::Task<void> AppendBatcher::RunPipeline() {
   while (head_ != nullptr) {
     if (effective_window_ > 0) {
       co_await owner_->scheduler_->Delay(effective_window_);
     }
-    while (in_flight_ >= EffectiveDepth()) {
+    while (in_flight_ >= effective_depth_) {
       co_await SlotFree{this};
     }
 
@@ -219,8 +178,14 @@ sim::Task<void> AppendBatcher::RunPipeline() {
     ProbeDepartCrash(round);
 
     SimDuration total = owner_->models_->log_append.Sample(*owner_->rng_);
-    owner_->scheduler_->Spawn(
-        RunOneRound(std::move(round), std::move(requests), total, next_ticket_++));
+    uint64_t ticket = next_ticket_++;
+    if (config_.pipeline_depth <= 1) {
+      // One round at a time: the next round departs only after this one's reply.
+      co_await RunOneRound(std::move(round), std::move(requests), total, ticket);
+    } else {
+      owner_->scheduler_->Spawn(
+          RunOneRound(std::move(round), std::move(requests), total, ticket));
+    }
   }
   // Rounds may still be in flight; a new arrival restarts the dispatcher (Enqueue), and the
   // ticket/in-flight state lives on the batcher, so the pipeline drains independently.
@@ -230,19 +195,17 @@ sim::Task<void> AppendBatcher::RunPipeline() {
 sim::Task<void> AppendBatcher::RunOneRound(std::vector<Submission*> round,
                                            std::vector<LogSpace::GroupRequest> requests,
                                            SimDuration total, uint64_t ticket) {
-  LogSpace* space = space_ != nullptr ? space_ : owner_->space_;
-  sim::ServiceStation* station = station_ != nullptr ? station_ : owner_->sequencer_station_;
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
   co_await owner_->scheduler_->Delay(leg);
-  co_await owner_->SequencerRoundAt(station, total);
+  co_await owner_->SequencerRound(shard_, total);
   // FIFO commit: the sequencer station is multi-server, so rounds can finish service out of
   // departure order. Hold each round until its ticket comes up — this is what makes the
-  // committed content identical to the serial engine at any depth.
+  // committed content identical at any depth.
   if (commit_ticket_ != ticket) {
     co_await CommitTurn{this, ticket};
   }
   HM_CHECK(commit_ticket_ == ticket);
-  CommitRound(space, round, std::move(requests));
+  CommitRound(round, std::move(requests));
   ++commit_ticket_;
   WakeCommitWaiter();
   co_await owner_->scheduler_->Delay(leg);  // Reply leg.

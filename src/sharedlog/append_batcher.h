@@ -1,12 +1,12 @@
 // Node-local group commit for the append path.
 //
-// Every LogClient owns an AppendBatcher (when enabled): append requests issued while the
-// node's sequencer round is in flight — or within a configurable batching window — are
-// collected and shipped as ONE batched sequencer round (LogSpace::AppendGroup), then the
-// consecutive seqnums and per-request cond-append verdicts are demultiplexed back to the
-// waiting coroutines. This is the group-commit idea of Boki/Beldi-style shims: the sequencer
-// orders many records per round, so a node under concurrency pays one append latency per
-// *round* instead of one per record.
+// A LogClient with group commit enabled owns one AppendBatcher per log shard: append
+// requests issued while the shard's sequencer rounds are in flight — or within a
+// configurable batching window — are collected and shipped as ONE batched sequencer round
+// (LogSpace::AppendGroup), then the consecutive seqnums and per-request cond-append verdicts
+// are demultiplexed back to the waiting coroutines. This is the group-commit idea of
+// Boki/Beldi-style shims: the sequencer orders many records per round, so a node under
+// concurrency pays one append latency per *round* instead of one per record.
 //
 // Invariant (asserted by the batched-vs-unbatched equivalence tests): because AppendGroup
 // evaluates the round's requests strictly in submission order, each seeing the stream state
@@ -15,18 +15,19 @@
 // unbatched path. Only timing differs: requests that share a round also share its latency
 // sample.
 //
-// Pipelining (DESIGN.md §12): with pipeline_depth > 1 the batcher keeps up to that many
-// sequencer rounds in flight concurrently — round k+1's request leg overlaps round k's
-// service and reply legs, so a node under sustained storm commits depth rounds per RTT
-// instead of one. Rounds still reach LogSpace::AppendGroup strictly in departure order
-// (enforced by a commit ticket and asserted, not assumed), so the committed records, their
-// per-tag order, and the cond-append verdicts are identical to the serial engine at any
-// depth. pipeline_depth == 1 takes the historic serial loop verbatim — bit-identical to the
-// pre-pipelining implementation, which the PR 4 golden tuples pin.
+// One engine, pipelined (DESIGN.md §12): the batcher keeps up to pipeline_depth sequencer
+// rounds in flight — round k+1's request leg overlaps round k's service and reply legs, so a
+// node under sustained storm commits depth rounds per RTT instead of one. Rounds still reach
+// LogSpace::AppendGroup strictly in departure order (enforced by a commit ticket and
+// asserted, not assumed), so the committed records, their per-tag order, and the cond-append
+// verdicts are identical at any depth. At depth 1 the dispatcher runs each round itself
+// instead of spawning it, which reproduces the event sequence the golden tuples of
+// sharded_equivalence_test pin.
 
 #ifndef HALFMOON_SHAREDLOG_APPEND_BATCHER_H_
 #define HALFMOON_SHAREDLOG_APPEND_BATCHER_H_
 
+#include <algorithm>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -36,10 +37,6 @@
 #include "src/common/time.h"
 #include "src/sharedlog/log_space.h"
 #include "src/sim/task.h"
-
-namespace halfmoon::sim {
-class ServiceStation;
-}  // namespace halfmoon::sim
 
 namespace halfmoon::sharedlog {
 
@@ -54,8 +51,8 @@ struct AppendBatchConfig {
   SimDuration window = 0;
   // Cap on requests per sequencer round; arrivals beyond it ride the next round.
   size_t max_batch = 64;
-  // Sequencer rounds in flight per batcher. 1 = the serial engine (one round at a time,
-  // bit-identical to PR 3); K > 1 overlaps up to K rounds, committed in departure order.
+  // Sequencer rounds in flight per batcher. 1 = one round at a time; K > 1 overlaps up to K
+  // rounds, committed in departure order.
   int pipeline_depth = 1;
   // Nagle-style controller (active only at pipeline_depth > 1): widens the effective
   // batching window when the pipeline is saturated by under-filled rounds and raises the
@@ -68,17 +65,14 @@ struct AppendBatchConfig {
 
 class AppendBatcher {
  public:
-  // `space` is the log shard this batcher's rounds commit through and `station` that shard's
-  // sequencer station; null means "the owner's defaults" (unsharded clients). A sharded
-  // LogClient owns one batcher per shard, so rounds bound for different shards are
-  // independent queues with independently in-flight rounds — that is the source of the
-  // shard-scaling throughput (DESIGN.md §9).
-  AppendBatcher(LogClient* owner, AppendBatchConfig config, LogSpace* space = nullptr,
-                sim::ServiceStation* station = nullptr)
+  // `shard` is the log shard whose sequencer this batcher's rounds go through. The owner
+  // holds one batcher per shard, so rounds bound for different shards are independent
+  // queues with independently in-flight rounds — that is the source of the shard-scaling
+  // throughput (DESIGN.md §9).
+  AppendBatcher(LogClient* owner, AppendBatchConfig config, uint32_t shard)
       : owner_(owner),
         config_(config),
-        space_(space),
-        station_(station),
+        shard_(shard),
         effective_window_(config.window),
         // Adaptive mode ramps the depth up under backlog; fixed mode opens every slot
         // immediately.
@@ -130,7 +124,7 @@ class AppendBatcher {
   // single handle suffices.
   struct SlotFree {
     AppendBatcher* b;
-    bool await_ready() const noexcept { return b->in_flight_ < b->EffectiveDepth(); }
+    bool await_ready() const noexcept { return b->in_flight_ < b->effective_depth_; }
     void await_suspend(std::coroutine_handle<> handle) noexcept { b->slot_waiter_ = handle; }
     void await_resume() const noexcept {}
   };
@@ -147,14 +141,12 @@ class AppendBatcher {
     void await_resume() const noexcept {}
   };
 
-  // Appends `submission` to the pending queue and starts the round engine if idle.
+  // Appends `submission` to the pending queue and starts the dispatcher if idle.
   void Enqueue(Submission* submission);
 
-  // Serial engine (pipeline_depth <= 1): the historic PR 3 loop, one round in flight.
-  sim::Task<void> RunRounds();
-
-  // Pipelined engine (pipeline_depth > 1): the dispatcher detaches rounds and spawns
-  // RunOneRound for each, keeping up to EffectiveDepth() rounds in flight.
+  // The dispatcher detaches rounds and runs RunOneRound for each, keeping up to
+  // effective_depth_ rounds in flight: at depth 1 it awaits the round inline, deeper it
+  // spawns it.
   sim::Task<void> RunPipeline();
   sim::Task<void> RunOneRound(std::vector<Submission*> round,
                               std::vector<LogSpace::GroupRequest> requests, SimDuration total,
@@ -165,7 +157,7 @@ class AppendBatcher {
                    std::vector<LogSpace::GroupRequest>* requests);
 
   // Commits a serviced round: AppendGroup in ticket order, verdict demux, index advance.
-  void CommitRound(LogSpace* space, std::vector<Submission*>& round,
+  void CommitRound(std::vector<Submission*>& round,
                    std::vector<LogSpace::GroupRequest> requests);
 
   // Crash probes (no-ops unless the runtime installed hooks AND the round carries a
@@ -177,25 +169,21 @@ class AppendBatcher {
   void ProbeReplyCrash(std::vector<Submission*>& round);
   [[noreturn]] void RaiseCrash(const char* site) const;
 
-  // Adaptive window/depth controller, consulted once per departing round.
+  // Adaptive window/depth controller, consulted once per departing round (a no-op at depth
+  // 1, where there is nothing to widen into).
   void UpdateController(size_t occupancy, bool backlog);
-
-  int EffectiveDepth() const {
-    return config_.pipeline_depth <= 1 ? 1 : effective_depth_;
-  }
 
   void WakeSlotWaiter();
   void WakeCommitWaiter();
 
   LogClient* owner_;
   AppendBatchConfig config_;
-  LogSpace* space_;               // Null: use the owner's default log space.
-  sim::ServiceStation* station_;  // Null: use the owner's default sequencer station.
+  uint32_t shard_;
   Submission* head_ = nullptr;
   Submission* tail_ = nullptr;
   bool round_loop_active_ = false;
 
-  // Pipeline state (pipeline_depth > 1).
+  // Pipeline state.
   int in_flight_ = 0;
   uint64_t next_ticket_ = 0;
   uint64_t commit_ticket_ = 0;
@@ -203,7 +191,8 @@ class AppendBatcher {
   std::vector<std::pair<uint64_t, std::coroutine_handle<>>> commit_waiters_;
 
   // Controller state. effective_window_ starts at the configured window and never drops
-  // below it; effective_depth_ starts at 1 and never exceeds pipeline_depth.
+  // below it; effective_depth_ stays within [1, max(pipeline_depth, 1)] (1 at depth 1, where
+  // the controller is off).
   SimDuration effective_window_;
   int effective_depth_ = 1;
 };

@@ -1,5 +1,6 @@
 #include "src/sharedlog/log_client.h"
 
+#include <type_traits>
 #include <utility>
 
 #include "src/storage/durability.h"
@@ -16,11 +17,10 @@ sim::Task<bool> LogClient::AwaitDurable(SeqNum seqnum, bool crashable) {
   co_return ok;
 }
 
-sim::Task<void> LogClient::SequencerRoundAt(sim::ServiceStation* station,
-                                            SimDuration total_latency) {
+sim::Task<void> LogClient::SequencerRound(uint32_t shard, SimDuration total_latency) {
   auto service = static_cast<SimDuration>(static_cast<double>(total_latency) * kServiceFraction);
-  if (station != nullptr) {
-    co_await station->Process(service);
+  if (!sequencer_stations_.empty()) {
+    co_await sequencer_stations_[shard]->Process(service);
   } else {
     co_await scheduler_->Delay(service);
   }
@@ -35,183 +35,90 @@ sim::Task<void> LogClient::StorageRound(SimDuration total_latency) {
   }
 }
 
-sim::Task<SeqNum> LogClient::Append(std::vector<TagId> tags, FieldMap fields) {
-  ++stats_.appends;
+template <typename T>
+sim::Task<T> LogClient::AppendRound(LogSpace::GroupRequest request) {
+  const bool cond = request.cond_tag != kInvalidTagId;
+  const size_t entries = request.entries.size();
+  (cond ? stats_.cond_appends : stats_.appends) += static_cast<int64_t>(entries);
   // Byte accounting: class and size snapshot before any suspension (and before the moves).
+  // Only protocol-class appends run inside attempts, so only they may crash.
   const int cls = std::exchange(append_class_, 0);
-  const int64_t bytes = RecordBytes(tags, fields);
-  if (!batchers_.empty()) {
-    AppendBatcher* batcher = BatcherForTag(tags[0]);
-    LogSpace::GroupRequest request;
-    request.entries.push_back(LogSpace::BatchEntry{std::move(tags), std::move(fields)});
-    LogSpace::GroupVerdict verdict =
-        co_await batcher->Submit(std::move(request), /*crashable=*/cls != 0);
-    NoteAppendedBytes(cls, bytes);
-    if (durability_ != nullptr && !co_await AwaitDurable(verdict.seqnum, cls != 0)) {
-      co_return verdict.seqnum;  // Rolled back by a kill; nothing left to cache.
-    }
-    if (read_cache_enabled_) CacheCommitted(space_->Get(verdict.seqnum));
-    co_return verdict.seqnum;  // Unconditional requests always commit.
+  const bool crashable = cls != 0;
+  int64_t bytes = 0;
+  for (const LogSpace::BatchEntry& entry : request.entries) {
+    bytes += RecordBytes(entry.tags, entry.fields);
   }
-  sim::ServiceStation* station = SequencerStationForTag(tags[0]);
-  SimDuration total = models_->log_append.Sample(*rng_);
-  auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
-  co_await scheduler_->Delay(leg);          // Request travels to the sequencer.
-  co_await SequencerRoundAt(station, total);  // Ordering + replication to storage nodes.
-  SeqNum seqnum = space_->Append(scheduler_->Now(), std::move(tags), std::move(fields));
-  NoteAppendedBytes(cls, bytes);
-  if (durability_ == nullptr || co_await AwaitDurable(seqnum, cls != 0)) {
-    AdvanceIndex(seqnum);                   // The appender learns its own seqnum with the reply.
-    if (read_cache_enabled_) CacheCommitted(space_->Get(seqnum));
-  }
-  co_await scheduler_->Delay(leg);          // Reply.
-  co_return seqnum;
-}
+  const uint32_t shard = log_->RouteShard(request);
+  const bool per_request = batchers_.empty();
 
-sim::Task<CondAppendResult> LogClient::CondAppend(std::vector<TagId> tags, FieldMap fields,
-                                                  TagId cond_tag, size_t cond_pos) {
-  ++stats_.cond_appends;
-  const int cls = std::exchange(append_class_, 0);
-  const int64_t bytes = RecordBytes(tags, fields);
-  if (!batchers_.empty()) {
-    LogSpace::GroupRequest request;
-    request.entries.push_back(LogSpace::BatchEntry{std::move(tags), std::move(fields)});
-    request.cond_tag = cond_tag;
-    request.cond_pos = cond_pos;
-    CondAppendResult result = co_await SubmitCond(std::move(request), /*crashable=*/cls != 0);
-    if (result.ok) NoteAppendedBytes(cls, bytes);
-    co_return result;
-  }
-  sim::ServiceStation* station = SequencerStationForTag(cond_tag);
-  SimDuration total = models_->log_append.Sample(*rng_);
-  auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
-  co_await scheduler_->Delay(leg);
-  co_await SequencerRoundAt(station, total);
-  CondAppendResult result =
-      space_->CondAppend(scheduler_->Now(), std::move(tags), std::move(fields), cond_tag,
-                         cond_pos);
-  if (result.ok) {
-    NoteAppendedBytes(cls, bytes);
-    if (durability_ == nullptr || co_await AwaitDurable(result.seqnum, cls != 0)) {
-      AdvanceIndex(result.seqnum);
-      CacheCommitted(result.record);
-    }
+  LogSpace::GroupVerdict verdict;
+  SimDuration leg = 0;
+  if (per_request) {
+    SimDuration total = models_->log_append.Sample(*rng_);
+    leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
+    co_await scheduler_->Delay(leg);          // Request travels to the sequencer.
+    co_await SequencerRound(shard, total);    // Ordering + replication to storage nodes.
+    verdict = log_->AppendOne(scheduler_->Now(), std::move(request));
   } else {
-    ++stats_.cond_append_conflicts;
+    verdict = co_await batchers_[shard]->Submit(std::move(request), crashable);
   }
-  co_await scheduler_->Delay(leg);
-  co_return result;
-}
 
-// Shared batched tail of CondAppend / CondAppendBatch: ships the request through the shard's
-// batcher and rebuilds the CondAppendResult (verdict + shared view of the first record).
-sim::Task<CondAppendResult> LogClient::SubmitCond(LogSpace::GroupRequest request,
-                                                  bool crashable) {
-  AppendBatcher* batcher = BatcherForTag(request.cond_tag);
-  size_t entries = request.entries.size();
-  LogSpace::GroupVerdict verdict = co_await batcher->Submit(std::move(request), crashable);
   CondAppendResult result;
   result.ok = verdict.ok;
   result.seqnum = verdict.seqnum;
   result.existing_seqnum = verdict.existing_seqnum;
-  if (verdict.ok) {
-    if (durability_ != nullptr && !co_await AwaitDurable(verdict.seqnum, crashable)) {
-      co_return result;  // Rolled back by a kill; the record view no longer exists.
-    }
-    result.record = space_->Get(verdict.seqnum);
-    if (entries > 1) {
-      CacheBatch(verdict.seqnum, entries);
-    } else {
-      CacheCommitted(result.record);
-    }
-  } else {
+  if (!verdict.ok) {
     ++stats_.cond_append_conflicts;
+  } else {
+    // The batch is journaled as one run of frames; its last entry gates them all. An
+    // unconditional request is credited at commit, a conditional one once the gate resolves.
+    const SeqNum last = log_->BatchSeq(verdict.seqnum, entries - 1);
+    if (!cond) NoteAppendedBytes(cls, bytes);
+    const bool durable = durability_ == nullptr || co_await AwaitDurable(last, crashable);
+    if (cond) NoteAppendedBytes(cls, bytes);
+    if (durable) {  // Otherwise rolled back by a kill: no record view is left to hand out.
+      if (per_request) AdvanceIndex(last);  // The appender learns its seqnums with the reply.
+      if (cond) result.record = log_->Get(verdict.seqnum);
+      CacheCommitted(verdict.seqnum, entries);
+    }
   }
-  co_return result;
+  if (per_request) co_await scheduler_->Delay(leg);  // Reply.
+  if constexpr (std::is_same_v<T, SeqNum>) {
+    co_return verdict.seqnum;  // Unconditional requests always commit.
+  } else {
+    co_return result;
+  }
+}
+
+sim::Task<SeqNum> LogClient::Append(std::vector<TagId> tags, FieldMap fields) {
+  LogSpace::GroupRequest request;
+  request.entries.push_back(LogSpace::BatchEntry{std::move(tags), std::move(fields)});
+  return AppendRound<SeqNum>(std::move(request));
+}
+
+sim::Task<CondAppendResult> LogClient::CondAppend(std::vector<TagId> tags, FieldMap fields,
+                                                  TagId cond_tag, size_t cond_pos) {
+  LogSpace::GroupRequest request;
+  request.entries.push_back(LogSpace::BatchEntry{std::move(tags), std::move(fields)});
+  request.cond_tag = cond_tag;
+  request.cond_pos = cond_pos;
+  return AppendRound<CondAppendResult>(std::move(request));
 }
 
 sim::Task<CondAppendResult> LogClient::CondAppendBatch(std::vector<LogSpace::BatchEntry> batch,
                                                        TagId cond_tag, size_t cond_pos) {
-  stats_.cond_appends += static_cast<int64_t>(batch.size());
-  const int cls = std::exchange(append_class_, 0);
-  int64_t bytes = 0;
-  for (const LogSpace::BatchEntry& entry : batch) bytes += RecordBytes(entry.tags, entry.fields);
-  if (!batchers_.empty()) {
-    LogSpace::GroupRequest request;
-    request.entries = std::move(batch);
-    request.cond_tag = cond_tag;
-    request.cond_pos = cond_pos;
-    CondAppendResult result = co_await SubmitCond(std::move(request), /*crashable=*/cls != 0);
-    if (result.ok) NoteAppendedBytes(cls, bytes);
-    co_return result;
-  }
-  sim::ServiceStation* station = SequencerStationForTag(cond_tag);
-  size_t entries = batch.size();
-  SimDuration total = models_->log_append.Sample(*rng_);
-  auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
-  co_await scheduler_->Delay(leg);
-  co_await SequencerRoundAt(station, total);
-  CondAppendResult result =
-      space_->CondAppendBatch(scheduler_->Now(), std::move(batch), cond_tag, cond_pos);
-  if (result.ok) {
-    NoteAppendedBytes(cls, bytes);
-    // The batch is journaled as one run of frames; the last entry's seqnum gates them all.
-    if (durability_ == nullptr ||
-        co_await AwaitDurable(space_->BatchSeq(result.seqnum, entries - 1), cls != 0)) {
-      // The batch commits in one round; the replica learns its seqnums with the reply.
-      AdvanceIndex(space_->next_seqnum() - 1);
-      CacheBatch(result.seqnum, entries);
-    }
-  } else {
-    ++stats_.cond_append_conflicts;
-  }
-  co_await scheduler_->Delay(leg);
-  co_return result;
+  return AppendRound<CondAppendResult>(
+      LogSpace::GroupRequest{std::move(batch), cond_tag, cond_pos});
 }
 
 sim::Task<SeqNum> LogClient::AppendBatch(std::vector<LogSpace::BatchEntry> batch) {
-  HM_CHECK(!batch.empty());
-  stats_.appends += static_cast<int64_t>(batch.size());
-  const int cls = std::exchange(append_class_, 0);
-  int64_t bytes = 0;
-  for (const LogSpace::BatchEntry& entry : batch) bytes += RecordBytes(entry.tags, entry.fields);
-  if (!batchers_.empty()) {
-    AppendBatcher* batcher = BatcherForTag(batch[0].tags.empty() ? kInitTagId : batch[0].tags[0]);
-    size_t entries = batch.size();
-    LogSpace::GroupRequest request;
-    request.entries = std::move(batch);
-    LogSpace::GroupVerdict verdict =
-        co_await batcher->Submit(std::move(request), /*crashable=*/cls != 0);
-    NoteAppendedBytes(cls, bytes);
-    if (durability_ != nullptr &&
-        !co_await AwaitDurable(space_->BatchSeq(verdict.seqnum, entries - 1), cls != 0)) {
-      co_return verdict.seqnum;  // Rolled back by a kill; nothing left to cache.
-    }
-    CacheBatch(verdict.seqnum, entries);
-    co_return verdict.seqnum;
-  }
-  sim::ServiceStation* station =
-      SequencerStationForTag(batch[0].tags.empty() ? kInitTagId : batch[0].tags[0]);
-  size_t entries = batch.size();
-  SimDuration total = models_->log_append.Sample(*rng_);
-  auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
-  co_await scheduler_->Delay(leg);
-  co_await SequencerRoundAt(station, total);
-  SeqNum first = space_->AppendBatch(scheduler_->Now(), std::move(batch));
-  NoteAppendedBytes(cls, bytes);
-  if (durability_ == nullptr ||
-      co_await AwaitDurable(space_->BatchSeq(first, entries - 1), cls != 0)) {
-    AdvanceIndex(space_->next_seqnum() - 1);
-    CacheBatch(first, entries);
-  }
-  co_await scheduler_->Delay(leg);
-  co_return first;
+  return AppendRound<SeqNum>(LogSpace::GroupRequest{std::move(batch)});
 }
 
 sim::Task<LogRecordPtr> LogClient::FindFirstByStep(TagId tag, OpId op, int64_t step) {
   ++stats_.reads_index_local;
   co_await scheduler_->Delay(models_->log_read_cached.Sample(*rng_));
-  LogRecordPtr record = space_->FindFirstByStep(tag, op, step);
+  LogRecordPtr record = log_->FindFirstByStep(tag, op, step);
   if (record != nullptr) ++stats_.read_record_shared;
   co_return record;
 }
@@ -225,7 +132,7 @@ sim::Task<LogRecordPtr> LogClient::ReadPrev(TagId tag, SeqNum max_seqnum) {
       // Payload-cache fast path: the index replica answers "which seqnum would this read
       // return" locally; if the cached payload for the tag IS that record, no index walk and
       // no storage hop happen at all. Stale entries simply fail the seqnum comparison.
-      SeqNum latest = space_->LatestSeqNoAtMost(tag, max_seqnum);
+      SeqNum latest = log_->LatestSeqNoAtMost(tag, max_seqnum);
       auto it = read_cache_.find(tag);
       if (it != read_cache_.end() && latest != kInvalidSeqNum &&
           it->second->seqnum == latest) {
@@ -237,7 +144,7 @@ sim::Task<LogRecordPtr> LogClient::ReadPrev(TagId tag, SeqNum max_seqnum) {
         // Re-validate after the suspension: a Trim that ran during the delay may have
         // released the cached record, and serving it would resurrect trimmed data. Fail
         // closed — drop the entry and fall through to the index-local read below.
-        if (space_->LatestSeqNoAtMost(tag, max_seqnum) == latest) {
+        if (log_->LatestSeqNoAtMost(tag, max_seqnum) == latest) {
           ++stats_.read_record_shared;
           co_return cached;
         }
@@ -246,7 +153,7 @@ sim::Task<LogRecordPtr> LogClient::ReadPrev(TagId tag, SeqNum max_seqnum) {
       }
     }
     co_await scheduler_->Delay(models_->log_read_cached.Sample(*rng_));
-    LogRecordPtr record = space_->ReadPrev(tag, max_seqnum);
+    LogRecordPtr record = log_->ReadPrev(tag, max_seqnum);
     if (record != nullptr) {
       ++stats_.read_record_shared;
       if (read_cache_enabled_) {
@@ -263,7 +170,7 @@ sim::Task<LogRecordPtr> LogClient::ReadPrev(TagId tag, SeqNum max_seqnum) {
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
   co_await scheduler_->Delay(leg);
   co_await StorageRound(total);
-  LogRecordPtr record = space_->ReadPrev(tag, max_seqnum);
+  LogRecordPtr record = log_->ReadPrev(tag, max_seqnum);
   if (record != nullptr) {
     ++stats_.read_record_shared;
     if (read_cache_enabled_) {
@@ -283,7 +190,7 @@ sim::Task<LogRecordPtr> LogClient::ReadNext(TagId tag, SeqNum min_seqnum) {
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
   co_await scheduler_->Delay(leg);
   co_await StorageRound(total);
-  LogRecordPtr record = space_->ReadNext(tag, min_seqnum);
+  LogRecordPtr record = log_->ReadNext(tag, min_seqnum);
   if (record != nullptr) ++stats_.read_record_shared;
   co_await scheduler_->Delay(leg);
   co_return record;
@@ -297,7 +204,7 @@ sim::Task<std::vector<LogRecordPtr>> LogClient::ReadStream(TagId tag) {
   // Records beyond the replica's horizon may be missed — harmless, because every logged step
   // is re-validated through logCondAppend and a conflict adopts the existing record.
   co_await scheduler_->Delay(models_->log_read_cached.Sample(*rng_));
-  std::vector<LogRecordPtr> records = space_->ReadStreamUpTo(tag, indexed_upto_);
+  std::vector<LogRecordPtr> records = log_->ReadStreamUpTo(tag, indexed_upto_);
   stats_.read_record_shared += static_cast<int64_t>(records.size());
   co_return records;
 }
@@ -308,7 +215,7 @@ sim::Task<void> LogClient::Trim(TagId tag, SeqNum upto) {
   auto leg = static_cast<SimDuration>(static_cast<double>(total) * kRequestLegFraction);
   co_await scheduler_->Delay(leg);
   co_await StorageRound(total);
-  space_->Trim(scheduler_->Now(), tag, upto);
+  log_->Trim(scheduler_->Now(), tag, upto);
   // Drop this client's own cached payload if the trim released it; peers catch theirs via
   // the post-delay revalidation in ReadPrev.
   if (read_cache_enabled_) {

@@ -7,10 +7,13 @@
 // local index iff the replica already covers `max_seqnum` (the 0.12 ms path); otherwise the
 // client syncs with a storage node (the slower path).
 //
-// Sharded mode (DESIGN.md §9): constructed against a ShardedLog, the client routes each
-// append to the shard owning its routing tag — per-shard AppendBatcher queues and per-shard
-// sequencer stations, so appends to tags on different shards commit in parallel simulated
-// time. Reads need no fan-out: every LogSpace shard answers queries for the whole log.
+// Appends (DESIGN.md §9, §12): every append entry point is one request through one private
+// round. The round goes to the shard that sequences the request (LogSpace::RouteShard), with
+// per-shard sequencer stations and — with group commit on — per-shard AppendBatcher queues,
+// so appends to tags on different shards commit in parallel simulated time. Without group
+// commit the round is the per-request reference path: its own latency sample, and the
+// write-ahead gate before its reply leg. Reads need no fan-out: LogSpace answers queries for
+// the whole log.
 //
 // On top of the index replica the client can keep a consistent *payload* cache: committed
 // LogRecordPtrs by tag, validated on each logReadPrev against the index replica's
@@ -38,7 +41,6 @@
 #include "src/sharedlog/append_batcher.h"
 #include "src/sharedlog/log_record.h"
 #include "src/sharedlog/log_space.h"
-#include "src/sharedlog/sharded_log.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/service_station.h"
 #include "src/sim/task.h"
@@ -95,8 +97,8 @@ struct LogClientStats {
   int64_t batched_requests = 0;
   int64_t max_round_occupancy = 0;
   // Pipeline observability (DESIGN.md §12). pipeline_inflight_hist[d] counts rounds that
-  // departed with d rounds in flight (themselves included; the serial engine always lands in
-  // bucket 1, deeper pipelines clamp into the last bucket). rounds "merged" — requests that
+  // departed with d rounds in flight (themselves included; depth 1 always lands in bucket
+  // 1, deeper pipelines clamp into the last bucket). rounds "merged" — requests that
   // shared a round instead of paying their own — is batched_requests - append_rounds, so no
   // separate counter. The ctrl_* counters record the adaptive controller's decisions.
   static constexpr int kPipelineHistBuckets = 9;
@@ -157,34 +159,22 @@ struct LogClientStats {
 
 class LogClient {
  public:
-  // `sequencer_station` and `storage_station` may be null to disable queueing (microbenches).
-  // `batch` enables node-local group commit: appends and cond-appends are collected by an
-  // AppendBatcher and shipped in shared sequencer rounds (see append_batcher.h). Disabled by
-  // default so microbenches and unit fixtures get the reference per-request path; the
-  // cluster runtime enables it via ClusterConfig.
-  LogClient(sim::Scheduler* scheduler, Rng* rng, const LatencyModels* models, LogSpace* space,
-            sim::ServiceStation* sequencer_station, sim::ServiceStation* storage_station,
-            AppendBatchConfig batch = AppendBatchConfig{.enabled = false})
-      : scheduler_(scheduler),
-        rng_(rng),
-        models_(models),
-        space_(space),
-        sequencer_station_(sequencer_station),
-        storage_station_(storage_station) {
-    if (batch.enabled) batchers_.push_back(std::make_unique<AppendBatcher>(this, batch));
-  }
-
-  // Sharded-cluster client. `sequencer_stations` holds one station per shard (may be empty
-  // to disable queueing); appends route to the shard owning their routing tag, each shard
-  // with its own batcher queue. `read_cache` enables the node-local payload cache.
-  LogClient(sim::Scheduler* scheduler, Rng* rng, const LatencyModels* models, ShardedLog* log,
+  // `sequencer_stations` holds one station per log shard, or is empty to disable queueing
+  // (microbenches); `storage_station` may be null for the same reason. `batch` enables
+  // node-local group commit: appends and cond-appends are collected by per-shard
+  // AppendBatchers and shipped in shared sequencer rounds (see append_batcher.h). Disabled by
+  // default so microbenches and unit fixtures get the per-request reference path; the
+  // cluster runtime enables it via ClusterConfig. `read_cache` enables the node-local
+  // payload cache.
+  LogClient(sim::Scheduler* scheduler, Rng* rng, const LatencyModels* models, LogSpace* log,
             std::vector<sim::ServiceStation*> sequencer_stations,
-            sim::ServiceStation* storage_station, AppendBatchConfig batch, bool read_cache)
+            sim::ServiceStation* storage_station,
+            AppendBatchConfig batch = AppendBatchConfig{.enabled = false},
+            bool read_cache = false)
       : scheduler_(scheduler),
         rng_(rng),
         models_(models),
-        space_(&log->shard(0)),
-        sequencer_station_(sequencer_stations.empty() ? nullptr : sequencer_stations[0]),
+        log_(log),
         storage_station_(storage_station),
         sequencer_stations_(std::move(sequencer_stations)),
         read_cache_enabled_(read_cache) {
@@ -193,15 +183,13 @@ class LogClient {
     if (batch.enabled) {
       batchers_.reserve(log->shard_count());
       for (uint32_t i = 0; i < log->shard_count(); ++i) {
-        batchers_.push_back(std::make_unique<AppendBatcher>(
-            this, batch, &log->shard(i),
-            sequencer_stations_.empty() ? nullptr : sequencer_stations_[i]));
+        batchers_.push_back(std::make_unique<AppendBatcher>(this, batch, i));
       }
     }
   }
 
   // The log's tag interner (shared across all clients of the same LogSpace).
-  TagRegistry& tags() { return space_->tags(); }
+  TagRegistry& tags() { return log_->tags(); }
 
   // logAppend: returns the record's seqnum. The record commits mid-flight (after the request
   // leg), so other nodes can observe it before the reply reaches the caller.
@@ -227,7 +215,7 @@ class LogClient {
   // OpId (the kOp* constants) so the scan is integer compares.
   sim::Task<LogRecordPtr> FindFirstByStep(TagId tag, OpId op, int64_t step);
   sim::Task<LogRecordPtr> FindFirstByStep(TagId tag, const std::string& op, int64_t step) {
-    return FindFirstByStep(tag, space_->ops().Find(op), step);
+    return FindFirstByStep(tag, log_->ops().Find(op), step);
   }
 
   // logReadPrev / logReadNext. Return shared views of the committed records (null when no
@@ -254,7 +242,7 @@ class LogClient {
   }
   sim::Task<LogRecordPtr> FindFirstByStep(std::string_view tag, const std::string& op,
                                           int64_t step) {
-    return FindFirstByStep(tags().Find(tag), space_->ops().Find(op), step);
+    return FindFirstByStep(tags().Find(tag), log_->ops().Find(op), step);
   }
   sim::Task<LogRecordPtr> ReadPrev(std::string_view tag, SeqNum max_seqnum) {
     return ReadPrev(tags().Find(tag), max_seqnum);
@@ -278,8 +266,8 @@ class LogClient {
   SeqNum indexed_upto() const { return indexed_upto_; }
   const LogClientStats& stats() const { return stats_; }
 
-  // Byte-attribution class for this client's NEXT append (0 = control, the default). Each
-  // append path consumes the stamp in its pre-suspension prologue and resets it to 0, so an
+  // Byte-attribution class for this client's NEXT append (0 = control, the default). The
+  // append round consumes the stamp in its pre-suspension prologue and resets it to 0, so an
   // unstamped append is always control. The caller must stamp synchronously immediately
   // before the append call — no co_await in between — which makes the pairing correct even
   // with other coroutines interleaving on the same client. (A stamped call that turns out
@@ -287,8 +275,7 @@ class LogClient {
   // that only shifts attribution of one control record during crash replay.)
   void set_append_class(int cls) { append_class_ = cls; }
 
-  // Non-null iff node-local group commit is enabled for this client (shard 0's batcher in
-  // sharded mode).
+  // Non-null iff node-local group commit is enabled for this client (shard 0's batcher).
   AppendBatcher* batcher() { return batchers_.empty() ? nullptr : batchers_[0].get(); }
 
   // Fault-injection hooks, installed by the runtime layer (Cluster). `probe` consults the
@@ -301,10 +288,10 @@ class LogClient {
     crash_thrower_ = std::move(thrower);
   }
 
-  // Write-ahead gate (DESIGN.md §13): with a durability service attached, every append path
-  // waits for the committed record's journal frame before its reply leg / caller resumption,
-  // so every externally-known seqnum is durable. Null detaches (a volatile cluster never
-  // attaches and stays bit-identical to the pre-storage engine).
+  // Write-ahead gate (DESIGN.md §13): with a durability service attached, the append round
+  // waits for the committed records' journal frames before its reply leg / caller
+  // resumption, so every externally-known seqnum is durable. Null detaches (a volatile
+  // cluster never attaches and stays bit-identical to the pre-storage engine).
   void SetDurability(storage::DurabilityService* durability) { durability_ = durability; }
 
   // Node-loss soft-state wipe: rolls the index replica back to `durable_seqnum` (what replay
@@ -325,29 +312,26 @@ class LogClient {
     return ids;
   }
 
-  // The batcher queue / sequencer station owning `tag`'s shard. Unsharded clients fall back
-  // to their single queue / station, so routing compiles down to the historic path.
-  AppendBatcher* BatcherForTag(TagId tag) {
-    if (batchers_.empty()) return nullptr;
-    if (batchers_.size() == 1) return batchers_[0].get();
-    return batchers_[space_->tags().ShardOf(tag)].get();
-  }
-  sim::ServiceStation* SequencerStationForTag(TagId tag) const {
-    if (sequencer_stations_.size() <= 1) return sequencer_station_;
-    return sequencer_stations_[space_->tags().ShardOf(tag)];
-  }
+  // One append request's sequencer round, sequenced by its LogSpace::RouteShard. With group
+  // commit the shard's batcher runs the round (both legs; it advances the index replica at
+  // commit) and this waits for durability after the reply; otherwise this runs the
+  // per-request round, whose durable gate precedes its reply leg. T is SeqNum (the first
+  // seqnum) for the unconditional entry points and CondAppendResult for the conditional ones.
+  template <typename T>
+  sim::Task<T> AppendRound(LogSpace::GroupRequest request);
 
-  sim::Task<void> SequencerRoundAt(sim::ServiceStation* station, SimDuration total_latency);
+  // Service share of one round at `shard`'s sequencer station (a plain delay without
+  // queueing), and at the storage station.
+  sim::Task<void> SequencerRound(uint32_t shard, SimDuration total_latency);
   sim::Task<void> StorageRound(SimDuration total_latency);
-  sim::Task<CondAppendResult> SubmitCond(LogSpace::GroupRequest request, bool crashable);
   // The write-ahead gate for one committed seqnum. Returns false when a kill destroyed the
   // record before it reached the device; crashable waiters (protocol-class appends, which
   // run inside attempts) abort into the runtime's retry loop instead of returning.
   sim::Task<bool> AwaitDurable(SeqNum seqnum, bool crashable);
 
   // Exactly LogRecord::ByteSize for the record these tags/fields will commit as. Computed
-  // in the append prologues BEFORE tags/fields are moved into the request, and credited to
-  // the stats only once the commit verdict is known.
+  // in the round's prologue BEFORE the request moves, and credited to the stats only once
+  // the commit verdict is known.
   static int64_t RecordBytes(const std::vector<TagId>& tags, const FieldMap& fields) {
     return static_cast<int64_t>(sizeof(SeqNum) + 8 + tags.size() * sizeof(TagId) +
                                 fields.ByteSize());
@@ -359,24 +343,23 @@ class LogClient {
   }
 
   // Payload-cache maintenance: committed records are the freshest for each of their tags at
-  // commit time, so read-your-writes hits come for free.
-  void CacheCommitted(const LogRecordPtr& record) {
-    if (!read_cache_enabled_ || record == nullptr) return;
-    for (TagId tag : record->tags) read_cache_[tag] = record;
-  }
-  void CacheBatch(SeqNum first, size_t count) {
+  // commit time, so read-your-writes hits come for free. In batch order, so for tags shared
+  // across entries the last (freshest) entry wins.
+  void CacheCommitted(SeqNum first, size_t count) {
     if (!read_cache_enabled_) return;
-    // In batch order, so for tags shared across entries the last (freshest) entry wins.
-    for (size_t i = 0; i < count; ++i) CacheCommitted(space_->Get(space_->BatchSeq(first, i)));
+    for (size_t i = 0; i < count; ++i) {
+      LogRecordPtr record = log_->Get(log_->BatchSeq(first, i));
+      if (record == nullptr) continue;
+      for (TagId tag : record->tags) read_cache_[tag] = record;
+    }
   }
 
   sim::Scheduler* scheduler_;
   Rng* rng_;
   const LatencyModels* models_;
-  LogSpace* space_;
-  sim::ServiceStation* sequencer_station_;
+  LogSpace* log_;
   sim::ServiceStation* storage_station_;
-  std::vector<sim::ServiceStation*> sequencer_stations_;  // Per shard; empty when unsharded.
+  std::vector<sim::ServiceStation*> sequencer_stations_;  // Per shard; empty: no queueing.
   std::vector<std::unique_ptr<AppendBatcher>> batchers_;  // Per shard; empty when disabled.
   SeqNum indexed_upto_ = 0;
   // Node-local consistent payload cache: latest committed record seen per tag. Entries are

@@ -39,7 +39,7 @@ DecodedRecord DecodeRecord(storage::Cursor* cursor) {
 
 // Replays one journal frame. `fuzzy` is false on the full-replay path (strict in-order
 // asserts preserved) and true on the replay-suffix path.
-void ReplayJournalFrame(SimTime now, ShardedLog* log, bool fuzzy, storage::FrameType type,
+void ReplayJournalFrame(SimTime now, LogSpace* log, bool fuzzy, storage::FrameType type,
                         storage::Cursor cursor) {
   switch (type) {
     case storage::FrameType::kTagDef: {
@@ -64,7 +64,7 @@ void ReplayJournalFrame(SimTime now, ShardedLog* log, bool fuzzy, storage::Frame
   }
 }
 
-void InstallImageFrame(SimTime now, ShardedLog* log, storage::FrameType type,
+void InstallImageFrame(SimTime now, LogSpace* log, storage::FrameType type,
                        storage::Cursor cursor) {
   switch (type) {
     case storage::FrameType::kCkptRecord: {
@@ -89,7 +89,7 @@ void InstallImageFrame(SimTime now, ShardedLog* log, storage::FrameType type,
 
 }  // namespace
 
-LogRecoveryStats RestoreLogFromJournal(SimTime now, ShardedLog* log,
+LogRecoveryStats RestoreLogFromJournal(SimTime now, LogSpace* log,
                                        const storage::DurabilityService* journal,
                                        const storage::CheckpointStore* ckpt) {
   LogRecoveryStats stats;

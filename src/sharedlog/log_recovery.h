@@ -17,7 +17,7 @@
 #include <cstdint>
 
 #include "src/common/time.h"
-#include "src/sharedlog/sharded_log.h"
+#include "src/sharedlog/log_space.h"
 
 namespace halfmoon::storage {
 class CheckpointStore;
@@ -39,7 +39,7 @@ struct LogRecoveryStats {
 // null (no checkpoint tier); when non-null but without a valid manifest, recovery falls
 // back to full replay — which aborts if the journal prefix was already truncated, since the
 // history below retained_offset() is gone for good.
-LogRecoveryStats RestoreLogFromJournal(SimTime now, ShardedLog* log,
+LogRecoveryStats RestoreLogFromJournal(SimTime now, LogSpace* log,
                                        const storage::DurabilityService* journal,
                                        const storage::CheckpointStore* ckpt);
 

@@ -5,71 +5,117 @@
 #include <string>
 #include <utility>
 
-#include "src/common/check.h"
 #include "src/storage/checkpoint.h"
 #include "src/storage/durability.h"
 
 namespace halfmoon::sharedlog {
 
-LogSpace::LogSpace() {
-  owned_shared_ = std::make_unique<Shared>();
-  shared_ = owned_shared_.get();
-  peers_ = {this};
-  PreinternWellKnown();
-}
-
-LogSpace::LogSpace(Shared* shared, uint32_t shard, uint32_t shard_count)
-    : shared_(shared), shard_(shard), shard_count_(shard_count) {
-  HM_CHECK(shared != nullptr);
-  HM_CHECK(shard < shard_count);
-  HM_CHECK_MSG(shared_->tags.shard_count() == shard_count,
-               "LogSpace shard: TagRegistry::SetShardCount must run before shard construction");
-  // Idempotent across shards: the first shard interns, the rest verify the same ids.
-  PreinternWellKnown();
-}
-
-void LogSpace::PreinternWellKnown() {
+LogSpace::LogSpace(uint32_t shard_count) : shard_count_(shard_count) {
+  HM_CHECK_MSG(shard_count >= 1, "LogSpace: shard_count must be >= 1");
+  // The tag → shard mapping must be fixed before any tag is interned.
+  tags_.SetShardCount(shard_count);
   // Pre-intern the two global streams so their ids are compile-time constants everywhere.
-  HM_CHECK(shared_->tags.Intern(InitLogTag()) == kInitTagId);
-  HM_CHECK(shared_->tags.Intern(FinishLogTag()) == kFinishTagId);
+  HM_CHECK(tags_.Intern(InitLogTag()) == kInitTagId);
+  HM_CHECK(tags_.Intern(FinishLogTag()) == kFinishTagId);
   // Same for the protocol op names (the kOp* constants of log_record.h).
-  HM_CHECK(shared_->ops.Intern("init") == kOpInit);
-  HM_CHECK(shared_->ops.Intern("read") == kOpRead);
-  HM_CHECK(shared_->ops.Intern("write-pre") == kOpWritePre);
-  HM_CHECK(shared_->ops.Intern("write") == kOpWrite);
-  HM_CHECK(shared_->ops.Intern("invoke-pre") == kOpInvokePre);
-  HM_CHECK(shared_->ops.Intern("invoke") == kOpInvoke);
-  HM_CHECK(shared_->ops.Intern("sync") == kOpSync);
-  HM_CHECK(shared_->ops.Intern("BEGIN") == kOpSwitchBegin);
-  HM_CHECK(shared_->ops.Intern("END") == kOpSwitchEnd);
-}
-
-void LogSpace::SetPeers(std::vector<LogSpace*> peers) {
-  HM_CHECK(peers.size() == shard_count_);
-  HM_CHECK(peers[shard_] == this);
-  peers_ = std::move(peers);
+  HM_CHECK(ops_.Intern("init") == kOpInit);
+  HM_CHECK(ops_.Intern("read") == kOpRead);
+  HM_CHECK(ops_.Intern("write-pre") == kOpWritePre);
+  HM_CHECK(ops_.Intern("write") == kOpWrite);
+  HM_CHECK(ops_.Intern("invoke-pre") == kOpInvokePre);
+  HM_CHECK(ops_.Intern("invoke") == kOpInvoke);
+  HM_CHECK(ops_.Intern("sync") == kOpSync);
+  HM_CHECK(ops_.Intern("BEGIN") == kOpSwitchBegin);
+  HM_CHECK(ops_.Intern("END") == kOpSwitchEnd);
 }
 
 LogSpace::TagStream& LogSpace::StreamFor(TagId tag) {
-  HM_CHECK_MSG(shared_->tags.Contains(tag), "LogSpace: tag id was never interned");
+  HM_CHECK_MSG(tags_.Contains(tag), "LogSpace: tag id was never interned");
   if (tag >= streams_.size()) streams_.resize(tag + 1);
   return streams_[tag];
 }
 
-SeqNum LogSpace::Append(SimTime now, std::vector<TagId> tags, FieldMap fields) {
-  HM_CHECK_MSG(!tags.empty(), "log records must carry at least one tag");
-  return TagOwner(tags[0])->AppendLocal(now, std::move(tags), std::move(fields));
+uint32_t LogSpace::RouteShard(const GroupRequest& request) const {
+  HM_CHECK(!request.entries.empty());
+  if (request.cond_tag != kInvalidTagId) return tags_.ShardOf(request.cond_tag);
+  HM_CHECK_MSG(!request.entries[0].tags.empty(), "log records must carry at least one tag");
+  return tags_.ShardOf(request.entries[0].tags[0]);
 }
 
-SeqNum LogSpace::AppendLocal(SimTime now, std::vector<TagId> tags, FieldMap fields) {
+std::vector<LogSpace::GroupVerdict> LogSpace::AppendGroup(SimTime now,
+                                                          std::vector<GroupRequest> requests) {
+  std::vector<GroupVerdict> verdicts(requests.size());
+  SeqNum last = kInvalidSeqNum;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    GroupRequest& request = requests[i];
+    GroupVerdict& verdict = verdicts[i];
+    const uint32_t shard = RouteShard(request);
+    if (request.cond_tag != kInvalidTagId) {
+      // The offset check is meaningless unless the new record appears in the cond stream.
+      HM_CHECK_MSG(std::find(request.entries[0].tags.begin(), request.entries[0].tags.end(),
+                             request.cond_tag) != request.entries[0].tags.end(),
+                   "logCondAppend: cond_tag must be one of the first entry's tags");
+      if (!CondHolds(request.cond_tag, request.cond_pos, &verdict.existing_seqnum)) {
+        continue;  // This request loses; later requests still get their turn.
+      }
+    }
+    verdict.ok = true;
+    for (size_t j = 0; j < request.entries.size(); ++j) {
+      last = AppendLocal(now, shard, std::move(request.entries[j].tags),
+                         std::move(request.entries[j].fields));
+      if (j == 0) verdict.seqnum = last;
+    }
+  }
+  // One notification carrying the round's last committed seqnum, so no index replica ever
+  // observes part of an atomically committed sub-group.
+  if (commit_listener_ && last != kInvalidSeqNum) commit_listener_(last);
+  return verdicts;
+}
+
+LogSpace::GroupVerdict LogSpace::AppendOne(SimTime now, GroupRequest request) {
+  std::vector<GroupRequest> requests;
+  requests.push_back(std::move(request));
+  return AppendGroup(now, std::move(requests))[0];
+}
+
+SeqNum LogSpace::Append(SimTime now, std::vector<TagId> tags, FieldMap fields) {
+  std::vector<BatchEntry> batch(1);
+  batch[0] = BatchEntry{std::move(tags), std::move(fields)};
+  return AppendBatch(now, std::move(batch));
+}
+
+CondAppendResult LogSpace::CondAppend(SimTime now, std::vector<TagId> tags, FieldMap fields,
+                                      TagId cond_tag, size_t cond_pos) {
+  std::vector<BatchEntry> batch(1);
+  batch[0] = BatchEntry{std::move(tags), std::move(fields)};
+  return CondAppendBatch(now, std::move(batch), cond_tag, cond_pos);
+}
+
+SeqNum LogSpace::AppendBatch(SimTime now, std::vector<BatchEntry> batch) {
+  return AppendOne(now, GroupRequest{std::move(batch)}).seqnum;
+}
+
+CondAppendResult LogSpace::CondAppendBatch(SimTime now, std::vector<BatchEntry> batch,
+                                           TagId cond_tag, size_t cond_pos) {
+  HM_CHECK(cond_tag != kInvalidTagId);
+  GroupVerdict verdict = AppendOne(now, GroupRequest{std::move(batch), cond_tag, cond_pos});
+  CondAppendResult result;
+  result.ok = verdict.ok;
+  result.seqnum = verdict.seqnum;
+  result.existing_seqnum = verdict.existing_seqnum;
+  if (verdict.ok) result.record = Get(verdict.seqnum);
+  return result;
+}
+
+SeqNum LogSpace::AppendLocal(SimTime now, uint32_t shard, std::vector<TagId> tags,
+                             FieldMap fields) {
   HM_CHECK_MSG(!tags.empty(), "log records must carry at least one tag");
-  SeqNum seqnum = AllocSeqNum();
+  SeqNum seqnum = AllocSeqNum(shard);
   LogRecordPtr record = InstallRecord(now, seqnum, std::move(tags), std::move(fields));
   // Write-ahead ordering: the frame is journaled at commit, before the listener can start
   // index propagation — the cluster gates propagation (and the client gates its external
   // ack) on this frame becoming durable.
-  if (shared_->durability != nullptr) JournalRecord(*record);
-  if (shared_->commit_listener) shared_->commit_listener(seqnum);
+  if (durability_ != nullptr) JournalRecord(*record);
   return seqnum;
 }
 
@@ -79,7 +125,7 @@ LogRecordPtr LogSpace::MakeRecord(SeqNum seqnum, std::vector<TagId> tags, FieldM
   record->tags = std::move(tags);
   record->fields = std::move(fields);
   if (record->fields.Has("op")) {
-    record->op = shared_->ops.Intern(record->fields.GetStr("op"));
+    record->op = ops_.Intern(record->fields.GetStr("op"));
   }
   return record;
 }
@@ -89,80 +135,87 @@ LogRecordPtr LogSpace::InstallRecord(SimTime now, SeqNum seqnum, std::vector<Tag
   LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
   StoredRecord stored;
   stored.live_tag_refs = static_cast<int>(record->tags.size());
-  shared_->gauge.Add(now, static_cast<int64_t>(record->ByteSize()));
-  // Each tag's sub-stream lives on the tag's owning shard; the encoded seqnums are allocated
-  // in global commit order, so pushing to the back keeps every stream sorted — also on shards
-  // other than the sequencing one.
-  for (TagId tag : record->tags) {
-    TagOwner(tag)->StreamFor(tag).seqnums.push_back(seqnum);
-  }
+  gauge_.Add(now, static_cast<int64_t>(record->ByteSize()));
+  // Encoded seqnums are allocated in global commit order, so pushing to the back keeps every
+  // stream sorted whichever shard sequenced the record.
+  for (TagId tag : record->tags) StreamFor(tag).seqnums.push_back(seqnum);
   stored.record = record;
   records_.emplace(seqnum, std::move(stored));
   return record;
 }
 
 const std::string& LogSpace::EncodeRecordPayload(const LogRecord& record) {
-  std::string& payload = shared_->payload;
-  payload.clear();
-  storage::PutU64(&payload, record.seqnum);
-  storage::PutU32(&payload, static_cast<uint32_t>(record.tags.size()));
-  for (TagId tag : record.tags) storage::PutU64(&payload, tag);
-  storage::PutU32(&payload, static_cast<uint32_t>(record.fields.size()));
+  payload_.clear();
+  storage::PutU64(&payload_, record.seqnum);
+  storage::PutU32(&payload_, static_cast<uint32_t>(record.tags.size()));
+  for (TagId tag : record.tags) storage::PutU64(&payload_, tag);
+  storage::PutU32(&payload_, static_cast<uint32_t>(record.fields.size()));
   for (const auto& [key, field] : record.fields) {
-    storage::PutStr(&payload, key);
+    storage::PutStr(&payload_, key);
     if (const int64_t* i = std::get_if<int64_t>(&field)) {
-      storage::PutU8(&payload, 0);
-      storage::PutU64(&payload, static_cast<uint64_t>(*i));
+      storage::PutU8(&payload_, 0);
+      storage::PutU64(&payload_, static_cast<uint64_t>(*i));
     } else {
-      storage::PutU8(&payload, 1);
-      storage::PutStr(&payload, std::get<std::string>(field));
+      storage::PutU8(&payload_, 1);
+      storage::PutStr(&payload_, std::get<std::string>(field));
     }
   }
-  return payload;
+  return payload_;
 }
 
 void LogSpace::JournalRecord(const LogRecord& record) {
-  uint64_t end = shared_->durability->AppendFrame(storage::FrameType::kRecord,
-                                                  EncodeRecordPayload(record));
-  shared_->durability->NoteCommit(record.seqnum, end);
+  uint64_t end = durability_->AppendFrame(storage::FrameType::kRecord,
+                                          EncodeRecordPayload(record));
+  durability_->NoteCommit(record.seqnum, end);
+}
+
+void LogSpace::AttachDurability(storage::DurabilityService* svc) {
+  durability_ = svc;
+  if (svc == nullptr) {
+    tags_.SetInternSink(nullptr);
+    return;
+  }
+  tags_.SetInternSink([svc](TagId id, std::string_view name) {
+    std::string payload;
+    storage::PutU64(&payload, id);
+    storage::PutStr(&payload, name);
+    svc->AppendFrame(storage::FrameType::kTagDef, payload);
+  });
+}
+
+void LogSpace::ResetVolatile(SimTime now) {
+  gauge_.Add(now, -gauge_.CurrentBytes());
+  watermark_ = 0;
+  records_.clear();
+  streams_.clear();
 }
 
 void LogSpace::RestoreRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
                              FieldMap fields, bool fuzzy) {
   HM_CHECK_MSG(!tags.empty(), "log records must carry at least one tag");
-  if (fuzzy) {
-    SeqOwner(seqnum)->RestoreRecordFuzzyLocal(now, seqnum, std::move(tags), std::move(fields));
-  } else {
-    SeqOwner(seqnum)->RestoreRecordLocal(now, seqnum, std::move(tags), std::move(fields));
+  if (!fuzzy) {
+    // Frames replay in append order and seqnums are allocated in commit order, so a replay
+    // observes strictly increasing seqnums; the watermark lands exactly where the original
+    // run's durable prefix left it.
+    HM_CHECK_MSG(seqnum > watermark_, "journal replay out of commit order");
+    watermark_ = seqnum;
+    InstallRecord(now, seqnum, std::move(tags), std::move(fields));
+    return;
   }
-}
-
-void LogSpace::RestoreRecordLocal(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
-                                  FieldMap fields) {
-  // Frames replay in append order and seqnums are allocated in commit order, so a replay
-  // observes strictly increasing seqnums; the watermark lands exactly where the original
-  // run's durable prefix left it.
-  HM_CHECK_MSG(seqnum > shared_->watermark, "journal replay out of commit order");
-  shared_->watermark = seqnum;
-  InstallRecord(now, seqnum, std::move(tags), std::move(fields));
-}
-
-void LogSpace::RestoreRecordFuzzyLocal(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
-                                       FieldMap fields) {
   // Replay-suffix on top of a fuzzy image: the image may reflect this record in none, some,
   // or all of its streams (each stream was snapshotted at its own instant). The body installs
   // once; each stream does a sorted check-and-insert so already-absorbed frames are no-ops.
   // Seqnums need not arrive above the watermark — image streams already carried later ones.
-  if (shared_->watermark < seqnum) shared_->watermark = seqnum;
+  EnsureWatermark(seqnum);
   auto it = records_.find(seqnum);
   if (it == records_.end()) {
     LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
-    shared_->gauge.Add(now, static_cast<int64_t>(record->ByteSize()));
+    gauge_.Add(now, static_cast<int64_t>(record->ByteSize()));
     it = records_.emplace(seqnum, StoredRecord{std::move(record), 0}).first;
   }
   StoredRecord& stored = it->second;
   for (TagId tag : stored.record->tags) {
-    TagStream& stream = TagOwner(tag)->StreamFor(tag);
+    TagStream& stream = StreamFor(tag);
     auto pos = std::lower_bound(stream.seqnums.begin(), stream.seqnums.end(), seqnum);
     if (pos != stream.seqnums.end() && *pos == seqnum) continue;  // Image already has it.
     stream.seqnums.insert(pos, seqnum);
@@ -171,11 +224,7 @@ void LogSpace::RestoreRecordFuzzyLocal(SimTime now, SeqNum seqnum, std::vector<T
 }
 
 void LogSpace::RestoreTrim(SimTime now, TagId tag, SeqNum upto, size_t base_after) {
-  HM_CHECK_MSG(shared_->tags.Contains(tag), "journal replay trims an unknown tag");
-  TagOwner(tag)->RestoreTrimLocal(now, tag, upto, base_after);
-}
-
-void LogSpace::RestoreTrimLocal(SimTime now, TagId tag, SeqNum upto, size_t base_after) {
+  HM_CHECK_MSG(tags_.Contains(tag), "journal replay trims an unknown tag");
   TagStream& stream = StreamFor(tag);
   while (!stream.seqnums.empty() && stream.seqnums.front() <= upto) {
     ReleaseRef(now, stream.seqnums.front());
@@ -187,30 +236,45 @@ void LogSpace::RestoreTrimLocal(SimTime now, TagId tag, SeqNum upto, size_t base
   if (stream.base < base_after) stream.base = base_after;
 }
 
+void LogSpace::BeginCheckpointWalk() {
+  walk_next_tag_ = 0;
+  // A fresh stamp marks every record body as not yet emitted this round. 0 means "never
+  // emitted", so a wrapped counter skips it.
+  if (++checkpoint_round_ == 0) ++checkpoint_round_;
+}
+
+bool LogSpace::WriteCheckpointSlice(storage::CheckpointStore* store, int64_t budget,
+                                    int64_t* frames) {
+  int64_t consumed = 0;
+  while (walk_next_tag_ < tags_.size()) {
+    if (consumed >= budget) return false;
+    consumed += static_cast<int64_t>(CheckpointTag(walk_next_tag_++, store, frames));
+  }
+  return true;
+}
+
 size_t LogSpace::CheckpointTag(TagId tag, storage::CheckpointStore* store, int64_t* frames) {
   const TagStream* stream = FindStream(tag);
   if (stream == nullptr || stream->length() == 0) return 0;
   size_t consumed = 1;
   // Emit each referenced body once per round, before the first stream that references it.
   for (SeqNum seqnum : stream->seqnums) {
-    LogSpace* owner = SeqOwner(seqnum);
-    auto it = owner->records_.find(seqnum);
-    HM_CHECK_MSG(it != owner->records_.end(), "checkpoint walk: stream references a dead record");
-    if (it->second.checkpoint_round != shared_->checkpoint_round) {
-      it->second.checkpoint_round = shared_->checkpoint_round;
+    auto it = records_.find(seqnum);
+    HM_CHECK_MSG(it != records_.end(), "checkpoint walk: stream references a dead record");
+    if (it->second.checkpoint_round != checkpoint_round_) {
+      it->second.checkpoint_round = checkpoint_round_;
       store->AppendFrame(storage::FrameType::kCkptRecord, EncodeRecordPayload(*it->second.record));
       ++*frames;
       ++consumed;
     }
   }
-  std::string& payload = shared_->payload;
-  payload.clear();
-  storage::PutU64(&payload, tag);
-  storage::PutU64(&payload, stream->base);
-  storage::PutU32(&payload, static_cast<uint32_t>(stream->seqnums.size()));
-  for (SeqNum seqnum : stream->seqnums) storage::PutU64(&payload, seqnum);
+  payload_.clear();
+  storage::PutU64(&payload_, tag);
+  storage::PutU64(&payload_, stream->base);
+  storage::PutU32(&payload_, static_cast<uint32_t>(stream->seqnums.size()));
+  for (SeqNum seqnum : stream->seqnums) storage::PutU64(&payload_, seqnum);
   consumed += stream->seqnums.size();
-  store->AppendFrame(storage::FrameType::kCkptTagStream, payload);
+  store->AppendFrame(storage::FrameType::kCkptTagStream, payload_);
   ++*frames;
   return consumed;
 }
@@ -218,23 +282,17 @@ size_t LogSpace::CheckpointTag(TagId tag, storage::CheckpointStore* store, int64
 void LogSpace::RestoreCheckpointRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
                                        FieldMap fields) {
   HM_CHECK_MSG(!tags.empty(), "log records must carry at least one tag");
-  LogSpace* owner = SeqOwner(seqnum);
-  LogRecordPtr record = owner->MakeRecord(seqnum, std::move(tags), std::move(fields));
-  shared_->gauge.Add(now, static_cast<int64_t>(record->ByteSize()));
-  bool inserted = owner->records_.emplace(seqnum, StoredRecord{std::move(record), 0}).second;
+  LogRecordPtr record = MakeRecord(seqnum, std::move(tags), std::move(fields));
+  gauge_.Add(now, static_cast<int64_t>(record->ByteSize()));
+  bool inserted = records_.emplace(seqnum, StoredRecord{std::move(record), 0}).second;
   HM_CHECK_MSG(inserted, "checkpoint image installs a record twice");
-  if (shared_->watermark < seqnum) shared_->watermark = seqnum;
+  EnsureWatermark(seqnum);
 }
 
 void LogSpace::RestoreCheckpointStream(SimTime now, TagId tag, size_t base,
                                        const std::vector<SeqNum>& seqnums) {
-  HM_CHECK_MSG(shared_->tags.Contains(tag), "checkpoint image names an unknown tag");
-  TagOwner(tag)->RestoreCheckpointStreamLocal(now, tag, base, seqnums);
-}
-
-void LogSpace::RestoreCheckpointStreamLocal(SimTime now, TagId tag, size_t base,
-                                            const std::vector<SeqNum>& seqnums) {
   (void)now;
+  HM_CHECK_MSG(tags_.Contains(tag), "checkpoint image names an unknown tag");
   TagStream& stream = StreamFor(tag);
   HM_CHECK_MSG(stream.seqnums.empty() && stream.base == 0,
                "checkpoint image restores a stream twice");
@@ -243,25 +301,16 @@ void LogSpace::RestoreCheckpointStreamLocal(SimTime now, TagId tag, size_t base,
     HM_CHECK_MSG(stream.seqnums.empty() || stream.seqnums.back() < seqnum,
                  "checkpoint image stream is not sorted");
     stream.seqnums.push_back(seqnum);
-    SeqOwner(seqnum)->TakeRefLocal(seqnum);
-    if (shared_->watermark < seqnum) shared_->watermark = seqnum;
+    auto it = records_.find(seqnum);
+    HM_CHECK_MSG(it != records_.end(),
+                 "checkpoint image stream references a record the image does not carry");
+    ++it->second.live_tag_refs;
+    EnsureWatermark(seqnum);
   }
 }
 
-void LogSpace::TakeRefLocal(SeqNum seqnum) {
-  auto it = records_.find(seqnum);
-  HM_CHECK_MSG(it != records_.end(),
-               "checkpoint image stream references a record the image does not carry");
-  ++it->second.live_tag_refs;
-}
-
-void LogSpace::ResetShardVolatile() {
-  records_.clear();
-  streams_.clear();
-}
-
 bool LogSpace::CondHolds(TagId cond_tag, size_t cond_pos, SeqNum* existing) {
-  TagStream& stream = TagOwner(cond_tag)->StreamFor(cond_tag);
+  TagStream& stream = StreamFor(cond_tag);
   if (stream.length() == cond_pos) return true;
   // Conflict: some peer already appended at (or past) the expected offset. Report the record
   // occupying that offset so the caller can recover its peer's state. Unlike the description
@@ -279,117 +328,12 @@ bool LogSpace::CondHolds(TagId cond_tag, size_t cond_pos, SeqNum* existing) {
   return false;
 }
 
-CondAppendResult LogSpace::CondAppend(SimTime now, std::vector<TagId> tags, FieldMap fields,
-                                      TagId cond_tag, size_t cond_pos) {
-  // The conditional tag must be among the record's tags, otherwise the offset check is
-  // meaningless (the new record would never appear in the conditional stream).
-  HM_CHECK_MSG(std::find(tags.begin(), tags.end(), cond_tag) != tags.end(),
-               "logCondAppend: cond_tag must be one of the record's tags");
-  // The shard owning cond_tag arbitrates the condition, so racing cond-appends on one tag
-  // serialize through one shard's sequencer no matter which node issued them.
-  return TagOwner(cond_tag)->CondAppendLocal(now, std::move(tags), std::move(fields), cond_tag,
-                                             cond_pos);
-}
-
-CondAppendResult LogSpace::CondAppendLocal(SimTime now, std::vector<TagId> tags,
-                                           FieldMap fields, TagId cond_tag, size_t cond_pos) {
-  CondAppendResult result;
-  if (!CondHolds(cond_tag, cond_pos, &result.existing_seqnum)) {
-    result.ok = false;
-    return result;
-  }
-  result.ok = true;
-  result.seqnum = AppendLocal(now, std::move(tags), std::move(fields));
-  result.record = LookupLive(result.seqnum);
-  return result;
-}
-
-CondAppendResult LogSpace::CondAppendBatch(SimTime now, std::vector<BatchEntry> batch,
-                                           TagId cond_tag, size_t cond_pos) {
-  HM_CHECK(!batch.empty());
-  return TagOwner(cond_tag)->CondAppendBatchLocal(now, std::move(batch), cond_tag, cond_pos);
-}
-
-CondAppendResult LogSpace::CondAppendBatchLocal(SimTime now, std::vector<BatchEntry> batch,
-                                               TagId cond_tag, size_t cond_pos) {
-  CondAppendResult result;
-  if (!CondHolds(cond_tag, cond_pos, &result.existing_seqnum)) {
-    result.ok = false;
-    return result;
-  }
-  result.ok = true;
-  result.seqnum = AppendBatchLocal(now, std::move(batch));
-  result.record = LookupLive(result.seqnum);
-  return result;
-}
-
-SeqNum LogSpace::AppendBatch(SimTime now, std::vector<BatchEntry> batch) {
-  HM_CHECK(!batch.empty());
-  HM_CHECK_MSG(!batch[0].tags.empty(), "log records must carry at least one tag");
-  return TagOwner(batch[0].tags[0])->AppendBatchLocal(now, std::move(batch));
-}
-
-SeqNum LogSpace::AppendBatchLocal(SimTime now, std::vector<BatchEntry> batch) {
-  HM_CHECK(!batch.empty());
-  // Suppress per-record commit notifications: the batch becomes visible to index replicas as
-  // a unit (one notification carrying the last seqnum), so no replica ever observes half of
-  // an atomically committed group.
-  std::function<void(SeqNum)> listener;
-  listener.swap(shared_->commit_listener);
-  SeqNum first = kInvalidSeqNum;
-  SeqNum last = kInvalidSeqNum;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    last = AppendLocal(now, std::move(batch[i].tags), std::move(batch[i].fields));
-    if (i == 0) first = last;
-  }
-  listener.swap(shared_->commit_listener);
-  if (shared_->commit_listener) shared_->commit_listener(last);
-  return first;
-}
-
-std::vector<LogSpace::GroupVerdict> LogSpace::AppendGroup(SimTime now,
-                                                          std::vector<GroupRequest> requests) {
-  // Suppress per-record commit notifications: the round becomes visible to index replicas as
-  // a unit (one notification carrying the last committed seqnum), so no replica ever
-  // observes part of an atomically committed sub-group.
-  std::function<void(SeqNum)> listener;
-  listener.swap(shared_->commit_listener);
-  std::vector<GroupVerdict> verdicts(requests.size());
-  SeqNum last = kInvalidSeqNum;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    GroupRequest& request = requests[i];
-    GroupVerdict& verdict = verdicts[i];
-    HM_CHECK(!request.entries.empty());
-    if (request.cond_tag != kInvalidTagId) {
-      HM_CHECK_MSG(std::find(request.entries[0].tags.begin(), request.entries[0].tags.end(),
-                             request.cond_tag) != request.entries[0].tags.end(),
-                   "AppendGroup: cond_tag must be one of the first entry's tags");
-      if (!CondHolds(request.cond_tag, request.cond_pos, &verdict.existing_seqnum)) {
-        continue;  // This request loses; later requests still get their turn.
-      }
-    }
-    verdict.ok = true;
-    for (size_t j = 0; j < request.entries.size(); ++j) {
-      last = AppendLocal(now, std::move(request.entries[j].tags),
-                         std::move(request.entries[j].fields));
-      if (j == 0) verdict.seqnum = last;
-    }
-  }
-  listener.swap(shared_->commit_listener);
-  if (shared_->commit_listener && last != kInvalidSeqNum) shared_->commit_listener(last);
-  return verdicts;
-}
-
-LogRecordPtr LogSpace::Get(SeqNum seqnum) const { return LookupLive(seqnum); }
-
 LogRecordPtr LogSpace::FindFirstByStep(TagId tag, OpId op, int64_t step) const {
   if (op == kInvalidOpId) return nullptr;  // The op name was never appended anywhere.
-  const LogSpace* owner = TagOwnerOrNull(tag);
-  if (owner == nullptr) return nullptr;
-  const TagStream* stream = owner->FindStream(tag);
+  const TagStream* stream = FindStream(tag);
   if (stream == nullptr) return nullptr;
   for (SeqNum seqnum : stream->seqnums) {
-    LogRecordPtr record = LookupLive(seqnum);
+    LogRecordPtr record = Get(seqnum);
     if (record == nullptr) continue;
     if (record->op == op && record->fields.GetInt("step") == step) {
       return record;
@@ -399,65 +343,51 @@ LogRecordPtr LogSpace::FindFirstByStep(TagId tag, OpId op, int64_t step) const {
 }
 
 std::vector<TagId> LogSpace::LiveTagsWithPrefix(std::string_view prefix) const {
-  // A stream lives only on its tag's owning shard, so walking every shard's table visits
-  // each live stream exactly once. Emptiness is checked first: it reads the contiguous
-  // table, while the name lives behind a pointer.
-  const TagRegistry& tags = shared_->tags;
+  // Emptiness is checked first: it reads the contiguous table, while the name lives behind a
+  // pointer.
   std::vector<TagId> out;
-  for (const LogSpace* shard : peers_) {
-    for (TagId tag = 0; tag < shard->streams_.size(); ++tag) {
-      if (!shard->streams_[tag].seqnums.empty() && tags.Name(tag).starts_with(prefix)) {
-        out.push_back(tag);
-      }
+  for (TagId tag = 0; tag < streams_.size(); ++tag) {
+    if (!streams_[tag].seqnums.empty() && tags_.Name(tag).starts_with(prefix)) {
+      out.push_back(tag);
     }
   }
   std::sort(out.begin(), out.end(),
-            [&tags](TagId a, TagId b) { return tags.Name(a) < tags.Name(b); });
+            [this](TagId a, TagId b) { return tags_.Name(a) < tags_.Name(b); });
   return out;
 }
 
 std::vector<std::string> LogSpace::StreamTagsWithPrefix(std::string_view prefix) const {
   std::vector<std::string> names;
-  for (TagId tag : LiveTagsWithPrefix(prefix)) names.push_back(shared_->tags.Name(tag));
+  for (TagId tag : LiveTagsWithPrefix(prefix)) names.push_back(tags_.Name(tag));
   return names;
 }
 
-LogRecordPtr LogSpace::LookupLive(SeqNum seqnum) const {
-  const LogSpace* owner = SeqOwner(seqnum);
-  auto it = owner->records_.find(seqnum);
-  if (it == owner->records_.end()) return nullptr;
+LogRecordPtr LogSpace::Get(SeqNum seqnum) const {
+  auto it = records_.find(seqnum);
+  if (it == records_.end()) return nullptr;
   return it->second.record;
 }
 
 LogRecordPtr LogSpace::ReadPrev(TagId tag, SeqNum max_seqnum) const {
-  const LogSpace* owner = TagOwnerOrNull(tag);
-  if (owner == nullptr) return nullptr;
-  const TagStream* stream = owner->FindStream(tag);
-  if (stream == nullptr) return nullptr;
-  // Last seqnum <= max_seqnum within the live (untrimmed) suffix.
-  auto upper = std::upper_bound(stream->seqnums.begin(), stream->seqnums.end(), max_seqnum);
-  if (upper == stream->seqnums.begin()) return nullptr;
-  return LookupLive(*(upper - 1));
+  SeqNum seqnum = LatestSeqNoAtMost(tag, max_seqnum);
+  return seqnum == kInvalidSeqNum ? nullptr : Get(seqnum);
 }
 
 SeqNum LogSpace::LatestSeqNoAtMost(TagId tag, SeqNum max_seqnum) const {
-  const LogSpace* owner = TagOwnerOrNull(tag);
-  if (owner == nullptr) return kInvalidSeqNum;
-  const TagStream* stream = owner->FindStream(tag);
+  const TagStream* stream = FindStream(tag);
   if (stream == nullptr) return kInvalidSeqNum;
+  // Last seqnum <= max_seqnum within the live (untrimmed) suffix.
   auto upper = std::upper_bound(stream->seqnums.begin(), stream->seqnums.end(), max_seqnum);
   if (upper == stream->seqnums.begin()) return kInvalidSeqNum;
   return *(upper - 1);
 }
 
 LogRecordPtr LogSpace::ReadNext(TagId tag, SeqNum min_seqnum) const {
-  const LogSpace* owner = TagOwnerOrNull(tag);
-  if (owner == nullptr) return nullptr;
-  const TagStream* stream = owner->FindStream(tag);
+  const TagStream* stream = FindStream(tag);
   if (stream == nullptr) return nullptr;
   auto lower = std::lower_bound(stream->seqnums.begin(), stream->seqnums.end(), min_seqnum);
   if (lower == stream->seqnums.end()) return nullptr;
-  return LookupLive(*lower);
+  return Get(*lower);
 }
 
 std::vector<LogRecordPtr> LogSpace::ReadStream(TagId tag) const {
@@ -466,38 +396,27 @@ std::vector<LogRecordPtr> LogSpace::ReadStream(TagId tag) const {
 
 std::vector<LogRecordPtr> LogSpace::ReadStreamUpTo(TagId tag, SeqNum max_seqnum) const {
   std::vector<LogRecordPtr> out;
-  const LogSpace* owner = TagOwnerOrNull(tag);
-  if (owner == nullptr) return out;
-  const TagStream* stream = owner->FindStream(tag);
+  const TagStream* stream = FindStream(tag);
   if (stream == nullptr) return out;
   out.reserve(stream->seqnums.size());
   for (SeqNum seqnum : stream->seqnums) {
     if (seqnum > max_seqnum) break;
-    LogRecordPtr record = LookupLive(seqnum);
+    LogRecordPtr record = Get(seqnum);
     if (record != nullptr) out.push_back(std::move(record));
   }
   return out;
 }
 
 void LogSpace::ReleaseRef(SimTime now, SeqNum seqnum) {
-  SeqOwner(seqnum)->ReleaseRefLocal(now, seqnum);
-}
-
-void LogSpace::ReleaseRefLocal(SimTime now, SeqNum seqnum) {
   auto it = records_.find(seqnum);
   HM_CHECK_MSG(it != records_.end(), "ReleaseRef on missing record");
   if (--it->second.live_tag_refs == 0) {
-    shared_->gauge.Add(now, -static_cast<int64_t>(it->second.record->ByteSize()));
+    gauge_.Add(now, -static_cast<int64_t>(it->second.record->ByteSize()));
     records_.erase(it);
   }
 }
 
 size_t LogSpace::Trim(SimTime now, TagId tag, SeqNum upto) {
-  if (!shared_->tags.Contains(tag)) return 0;
-  return TagOwner(tag)->TrimLocal(now, tag, upto, /*journal=*/true);
-}
-
-size_t LogSpace::TrimLocal(SimTime now, TagId tag, SeqNum upto, bool journal) {
   if (tag >= streams_.size()) return 0;
   TagStream& stream = streams_[tag];
   size_t released = 0;
@@ -511,37 +430,30 @@ size_t LogSpace::TrimLocal(SimTime now, TagId tag, SeqNum upto, bool journal) {
   // and a trim lost to a crash merely resurrects garbage the next GC pass re-collects. The
   // resulting base rides along so fuzzy replay (DESIGN.md §14) can restore logical offsets
   // without re-counting pops the image may have absorbed.
-  if (journal && released > 0 && shared_->durability != nullptr) {
-    std::string& payload = shared_->payload;
-    payload.clear();
-    storage::PutU64(&payload, tag);
-    storage::PutU64(&payload, upto);
-    storage::PutU64(&payload, stream.base);
-    shared_->durability->AppendFrame(storage::FrameType::kTrim, payload);
+  if (released > 0 && durability_ != nullptr) {
+    payload_.clear();
+    storage::PutU64(&payload_, tag);
+    storage::PutU64(&payload_, upto);
+    storage::PutU64(&payload_, stream.base);
+    durability_->AppendFrame(storage::FrameType::kTrim, payload_);
   }
   return released;
 }
 
 size_t LogSpace::StreamLength(TagId tag) const {
-  const LogSpace* owner = TagOwnerOrNull(tag);
-  if (owner == nullptr) return 0;
-  const TagStream* stream = owner->FindStream(tag);
+  const TagStream* stream = FindStream(tag);
   return stream == nullptr ? 0 : stream->length();
 }
 
 size_t LogSpace::IndexEntries() const {
   size_t total = 0;
-  for (const TagStream& stream : streams_) {
-    total += stream.seqnums.size();
-  }
+  for (const TagStream& stream : streams_) total += stream.seqnums.size();
   return total;
 }
 
 size_t LogSpace::IndexCapacity() const {
   size_t total = 0;
-  for (const TagStream& stream : streams_) {
-    total += stream.seqnums.capacity();
-  }
+  for (const TagStream& stream : streams_) total += stream.seqnums.capacity();
   return total;
 }
 

@@ -1,21 +1,22 @@
-// The authoritative state of the shared log: the sequencer's counter, the record store, and
+// The authoritative state of the shared log: the sequencers' counter, the record store, and
 // the per-tag sub-stream index.
 //
 // LogSpace is pure state — all latency, caching, and queueing live in LogClient. This split
 // mirrors Boki: a metalog/sequencer that orders records, storage nodes that hold them, and
 // per-function-node index replicas that trail the authoritative index by a propagation delay.
 //
-// Sharding (DESIGN.md §9): a LogSpace is either standalone (the classic single log) or one of
-// N shards owned by a ShardedLog. Shards share the tag/op interners, the storage gauge, the
-// commit listener and ONE seqnum watermark, but each shard owns the records it sequences and
-// the sub-stream indices of the tags it owns (tag → shard is a pure function of the tag name,
-// see TagRegistry::ShardOf). Sequence numbers use a (local round, shard) encoding,
+// Sharding (DESIGN.md §9): one LogSpace is the whole log, sequenced by `shard_count`
+// sequencers. Tags are partitioned across shards by a pure function of the tag name
+// (TagRegistry::ShardOf); a request is sequenced by the shard owning its routing tag (the
+// cond tag, else the first entry's first tag, see RouteShard), so every cond-append
+// arbitration lands on one shard. Sequence numbers use a (local round, shard) encoding,
 //     enc = local * shard_count + shard,   local = floor(watermark / shard_count) + 1,
-// so encoded seqnums are strictly increasing in commit order across ALL shards (the watermark
-// is the cross-shard merge rule): per-tag streams stay sorted by construction, cursorTS stays
-// a total order, and shard_count == 1 degenerates to the historic next_seqnum_++ bit for bit.
-// Every public method routes to the owning shard first (tags by TagRegistry::ShardOf, seqnums
-// by seqnum % shard_count), so ANY shard — and the ShardedLog facade — answers every query.
+// against ONE watermark, so encoded seqnums are strictly increasing in commit order across
+// ALL shards (the watermark is the cross-shard merge rule): per-tag streams stay sorted by
+// construction, cursorTS stays a total order, and shard_count == 1 degenerates to the
+// historic next_seqnum_++ bit for bit. Records are keyed by their (globally unique) seqnum
+// and streams by tag id, so the store itself needs no partitioning: a shard is its seqnum
+// residue class, its sequencer station and its per-node batcher queue (LogClient).
 //
 // Performance notes (see DESIGN.md "Performance architecture"):
 //   * Records are immutable after commit and stored behind shared_ptr-to-const; every read
@@ -27,7 +28,7 @@
 //   * A sub-stream keeps only its untrimmed seqnum suffix (a flat run + base offset), so
 //     trimmed history costs no memory while logical logCondAppend offsets stay stable.
 //   * No per-tag side index tracks which streams are live: prefix scans (the GC's per-object
-//     write-log enumeration, once per pass) scan the dense stream tables instead, so starting
+//     write-log enumeration, once per pass) scan the dense stream table instead, so starting
 //     and trimming a stream — once per invocation — touches nothing but the stream itself.
 
 #ifndef HALFMOON_SHAREDLOG_LOG_SPACE_H_
@@ -36,13 +37,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/time.h"
 #include "src/metrics/storage_sampler.h"
 #include "src/sharedlog/log_record.h"
@@ -57,92 +59,34 @@ namespace halfmoon::sharedlog {
 
 class LogSpace {
  public:
-  // State shared by every shard of one logical log: the interners, the storage gauge, the
-  // seqnum watermark (largest encoded seqnum committed so far — the cross-shard merge rule),
-  // and the commit listener. A standalone LogSpace owns its Shared privately; a ShardedLog
-  // owns one instance for all of its shards.
-  struct Shared {
-    TagRegistry tags;
-    TagRegistry ops;
-    metrics::StorageGauge gauge;
-    SeqNum watermark = 0;  // 0 = nothing committed; first encoded seqnum is >= 1.
-    std::function<void(SeqNum)> commit_listener;
-    // Non-null when the log runs over the simulated durable medium (DESIGN.md §13): every
-    // commit journals a kRecord frame, every releasing trim a kTrim frame. Null (the
-    // default) journals nothing and draws no extra latency samples — bit-identical to the
-    // pre-storage simulation.
-    storage::DurabilityService* durability = nullptr;
-    // Checkpoint walk (DESIGN.md §14): the current round's stamp (bumped per round, never 0)
-    // and the reused encode buffer for record and stream payloads.
-    uint32_t checkpoint_round = 0;
-    std::string payload;
-  };
-
-  // Standalone single-shard log (the historic constructor; bit-identical behaviour).
-  LogSpace();
-  // One shard of a ShardedLog. `shared` must outlive the shard; the owner must call SetPeers
-  // with all shards (indexed by shard id) before the first append.
-  LogSpace(Shared* shared, uint32_t shard, uint32_t shard_count);
+  explicit LogSpace(uint32_t shard_count = 1);
   LogSpace(const LogSpace&) = delete;
   LogSpace& operator=(const LogSpace&) = delete;
 
-  // Wires up cross-shard routing; `peers[i]` is shard i (peers[shard()] == this). The
-  // standalone constructor sets {this} automatically.
-  void SetPeers(std::vector<LogSpace*> peers);
-
-  uint32_t shard() const { return shard_; }
   uint32_t shard_count() const { return shard_count_; }
+  // Shard owning `tag`'s sub-stream (pure function of the tag name).
+  uint32_t ShardOfTag(TagId tag) const { return tags_.ShardOf(tag); }
 
   // The tag interner shared by everything layered on this log. "ssf.init" and "ssf.finish"
   // are pre-interned to kInitTagId / kFinishTagId.
-  TagRegistry& tags() { return shared_->tags; }
-  const TagRegistry& tags() const { return shared_->tags; }
+  TagRegistry& tags() { return tags_; }
+  const TagRegistry& tags() const { return tags_; }
 
   // The op-name interner ("op" field values). The protocol ops are pre-interned to the kOp*
-  // constants of log_record.h; Append stamps each record's `op` id from its fields.
-  TagRegistry& ops() { return shared_->ops; }
-  const TagRegistry& ops() const { return shared_->ops; }
+  // constants of log_record.h; every commit stamps its record's `op` id from its fields.
+  TagRegistry& ops() { return ops_; }
+  const TagRegistry& ops() const { return ops_; }
 
-  // Appends a record, assigning the next sequence number. `now` feeds storage accounting.
-  // Notifies the commit listener (used for index propagation to clients). Routed to the shard
-  // owning the first tag; the record's seqnum encodes the sequencing shard.
-  SeqNum Append(SimTime now, std::vector<TagId> tags, FieldMap fields);
-
-  // Conditional append (§5.1): appends, then verifies that the new record lands at logical
-  // offset `cond_pos` of the `cond_tag` sub-stream. On mismatch the append is undone and the
-  // seqnum of the record actually at that offset is returned. Routed to (and arbitrated by)
-  // the shard owning cond_tag.
-  CondAppendResult CondAppend(SimTime now, std::vector<TagId> tags, FieldMap fields,
-                              TagId cond_tag, size_t cond_pos);
-
-  // Atomically appends a batch of records under the same condition (offset of the *first*
-  // record in `cond_tag`'s stream). Either all records commit — at consecutive batch
-  // positions, see BatchSeq() — or none do. Models Boki's batched append, which Halfmoon-read
-  // uses to install the version record and the commit record of a write in one sequencer
-  // round (§4.1).
   struct BatchEntry {
     std::vector<TagId> tags;
     FieldMap fields;
   };
-  CondAppendResult CondAppendBatch(SimTime now, std::vector<BatchEntry> batch, TagId cond_tag,
-                                   size_t cond_pos);
 
-  // Unconditional atomic batch append; returns the first seqnum (the i-th record receives
-  // BatchSeq(first, i)). Index replicas learn about the batch as a unit.
-  SeqNum AppendBatch(SimTime now, std::vector<BatchEntry> batch);
-
-  // Seqnum of the i-th record of an atomic batch whose first record committed at `first`.
-  // One shard allocates the whole batch, so in-batch neighbours are `shard_count` apart in
-  // the encoded space (adjacent when unsharded).
-  SeqNum BatchSeq(SeqNum first, size_t i) const {
-    return first + static_cast<SeqNum>(i) * shard_count_;
-  }
-
-  // One request of a group-committed sequencer round (see AppendGroup). The entries form an
-  // atomic sub-group: all of them commit (at consecutive batch positions) or none do. A
-  // request with cond_tag == kInvalidTagId is unconditional; otherwise it carries the
-  // logCondAppend condition "the first entry lands at logical offset cond_pos of cond_tag's
-  // stream".
+  // One append request. The entries form an atomic sub-group: all of them commit (at
+  // consecutive batch positions, see BatchSeq) or none do. A request with cond_tag ==
+  // kInvalidTagId is unconditional; otherwise it carries the logCondAppend condition (§5.1)
+  // "the first entry lands at logical offset cond_pos of cond_tag's stream", and cond_tag
+  // must be one of the first entry's tags.
   struct GroupRequest {
     std::vector<BatchEntry> entries;
     TagId cond_tag = kInvalidTagId;
@@ -156,18 +100,45 @@ class LogSpace {
     SeqNum existing_seqnum = kInvalidSeqNum;
   };
 
-  // Group commit: orders several independent append requests in ONE sequencer round of THIS
-  // shard (callers route requests to the shard owning their cond tag / first tag — see
-  // AppendBatcher). Requests are evaluated strictly in vector order, each seeing the stream
-  // state left by its predecessors — exactly as if the requests had been submitted
-  // back-to-back as separate rounds in that order, which is what makes node-local append
-  // batching protocol-invisible. Index replicas learn about the whole round as a unit: the
-  // commit listener fires once, with the round's last committed seqnum (not at all if every
-  // request conflicted).
+  // The shard that sequences `request`: the owner of its cond tag, else of its first
+  // entry's first tag. Racing cond-appends on one tag therefore serialize through one
+  // shard's sequencer no matter which node issued them.
+  uint32_t RouteShard(const GroupRequest& request) const;
+
+  // The one commit routine: orders several independent append requests in ONE sequencer
+  // round. Requests are evaluated strictly in vector order, each seeing the stream state left
+  // by its predecessors — exactly as if they had been submitted back-to-back as separate
+  // rounds in that order, which is what makes node-local append batching protocol-invisible
+  // (AppendBatcher). Each request is sequenced by its RouteShard. Index replicas learn about
+  // the whole round as a unit: the commit listener fires once, with the round's last
+  // committed seqnum (not at all if every request conflicted). `now` feeds storage
+  // accounting. A conditional request that conflicts appends nothing.
   std::vector<GroupVerdict> AppendGroup(SimTime now, std::vector<GroupRequest> requests);
 
-  // Shared view of the live record at `seqnum`; null if absent or fully trimmed. Routed to
-  // the storing shard (seqnum % shard_count).
+  // ---- One-request rounds (AppendGroup with a single request) ----
+  GroupVerdict AppendOne(SimTime now, GroupRequest request);
+  // logAppend: returns the record's seqnum.
+  SeqNum Append(SimTime now, std::vector<TagId> tags, FieldMap fields);
+  // logCondAppend: on conflict nothing is appended and existing_seqnum names the record
+  // actually at `cond_pos`.
+  CondAppendResult CondAppend(SimTime now, std::vector<TagId> tags, FieldMap fields,
+                              TagId cond_tag, size_t cond_pos);
+  // Boki's batched append, which Halfmoon-read uses to install the version record and the
+  // commit record of a write in one sequencer round (§4.1): all records commit or none do,
+  // under the condition on the first record. The unconditional form returns the first
+  // seqnum (the i-th record receives BatchSeq(first, i)).
+  CondAppendResult CondAppendBatch(SimTime now, std::vector<BatchEntry> batch, TagId cond_tag,
+                                   size_t cond_pos);
+  SeqNum AppendBatch(SimTime now, std::vector<BatchEntry> batch);
+
+  // Seqnum of the i-th record of an atomic batch whose first record committed at `first`.
+  // One shard allocates the whole batch, so in-batch neighbours are `shard_count` apart in
+  // the encoded space (adjacent when unsharded).
+  SeqNum BatchSeq(SeqNum first, size_t i) const {
+    return first + static_cast<SeqNum>(i) * shard_count_;
+  }
+
+  // Shared view of the live record at `seqnum`; null if absent or fully trimmed.
   LogRecordPtr Get(SeqNum seqnum) const;
 
   // First live record in `tag`'s sub-stream whose "op" and "step" fields match. Boki resolves
@@ -175,12 +146,12 @@ class LogSpace {
   // record's interned op id — no string comparison per record.
   LogRecordPtr FindFirstByStep(TagId tag, OpId op, int64_t step) const;
   LogRecordPtr FindFirstByStep(TagId tag, const std::string& op, int64_t step) const {
-    return FindFirstByStep(tag, shared_->ops.Find(op), step);
+    return FindFirstByStep(tag, ops_.Find(op), step);
   }
 
   // Ids of all live (non-empty) streams whose name starts with `prefix`, in name order (GC
-  // scan over per-object write logs). Scans every shard's dense stream table, then sorts the
-  // matches by name: O(interned tags + matches · log matches) per call, paid once per GC pass
+  // scan over per-object write logs). Scans the dense stream table, then sorts the matches
+  // by name: O(interned tags + matches · log matches) per call, paid once per GC pass
   // instead of an ordered-index update on every stream start and trim.
   std::vector<TagId> LiveTagsWithPrefix(std::string_view prefix) const;
 
@@ -225,39 +196,48 @@ class LogSpace {
   CondAppendResult CondAppend(SimTime now, std::vector<std::string> tag_names, FieldMap fields,
                               std::string_view cond_tag, size_t cond_pos) {
     return CondAppend(now, InternAll(std::move(tag_names)), std::move(fields),
-                      shared_->tags.Intern(cond_tag), cond_pos);
+                      tags_.Intern(cond_tag), cond_pos);
   }
   LogRecordPtr FindFirstByStep(std::string_view tag, const std::string& op, int64_t step) const {
-    return FindFirstByStep(shared_->tags.Find(tag), op, step);
+    return FindFirstByStep(tags_.Find(tag), op, step);
   }
   LogRecordPtr ReadPrev(std::string_view tag, SeqNum max_seqnum) const {
-    return ReadPrev(shared_->tags.Find(tag), max_seqnum);
+    return ReadPrev(tags_.Find(tag), max_seqnum);
   }
   LogRecordPtr ReadNext(std::string_view tag, SeqNum min_seqnum) const {
-    return ReadNext(shared_->tags.Find(tag), min_seqnum);
+    return ReadNext(tags_.Find(tag), min_seqnum);
   }
   std::vector<LogRecordPtr> ReadStream(std::string_view tag) const {
-    return ReadStream(shared_->tags.Find(tag));
+    return ReadStream(tags_.Find(tag));
   }
   std::vector<LogRecordPtr> ReadStreamUpTo(std::string_view tag, SeqNum max_seqnum) const {
-    return ReadStreamUpTo(shared_->tags.Find(tag), max_seqnum);
+    return ReadStreamUpTo(tags_.Find(tag), max_seqnum);
   }
   size_t Trim(SimTime now, std::string_view tag, SeqNum upto) {
-    return Trim(now, shared_->tags.Find(tag), upto);
+    return Trim(now, tags_.Find(tag), upto);
   }
-  size_t StreamLength(std::string_view tag) const {
-    return StreamLength(shared_->tags.Find(tag));
-  }
+  size_t StreamLength(std::string_view tag) const { return StreamLength(tags_.Find(tag)); }
 
-  // ---- Crash-restart recovery (DESIGN.md §13, §14) ----
+  // ---- Durable medium + crash-restart recovery (DESIGN.md §13, §14) ----
+  // Attaches the durability service: every commit journals a kRecord frame, every releasing
+  // trim a kTrim frame, and every newly interned tag a kTagDef frame. Must be attached before
+  // the first workload append (earlier interns — the pre-interned protocol tags — are
+  // deterministic constructor state and need no journal). Null (the default) journals
+  // nothing and draws no extra latency samples — bit-identical to the pre-storage simulation.
+  void AttachDurability(storage::DurabilityService* svc);
+
+  // Drops everything a node loss destroys: records, sub-stream indices, the watermark, and
+  // the storage gauge's current bytes. The tag/op interners survive — ids are deterministic
+  // client-side handles, and replay cross-checks them via kTagDef frames.
+  void ResetVolatile(SimTime now);
+
   // Reinstalls a committed record from its journal frame: same index/stream/gauge effects as
   // the original append, but no commit listener and no re-journaling. In strict mode (full
   // replay) frames arrive in commit order, so seqnums are strictly increasing (asserted) and
   // the watermark advances to each restored seqnum. In fuzzy mode (replay-suffix on top of a
   // checkpoint image, §14) the image may already reflect the record in some — or all — of its
   // streams: the body is installed only if absent and each stream gets a sorted
-  // check-and-insert, so replaying an already-absorbed frame is a no-op. Routed to the shard
-  // that originally sequenced the record.
+  // check-and-insert, so replaying an already-absorbed frame is a no-op.
   void RestoreRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags, FieldMap fields,
                      bool fuzzy = false);
 
@@ -267,24 +247,32 @@ class LogSpace {
   // base whether or not the checkpoint image had already absorbed the trim.
   void RestoreTrim(SimTime now, TagId tag, SeqNum upto, size_t base_after);
 
-  // Raises the shared watermark to at least `floor` (no-op when already past it). Recovery
-  // calls this with the manifest's watermark floor / the journal's durable seqnum: truncation
-  // can erase the highest durable records (trimmed ones), and the restored allocator must
-  // still never re-issue their seqnums.
+  // Cross-checks a replayed kTagDef frame against the surviving registry: the journaled
+  // (id, name) assignment must match bit for bit, or the replayed record frames' tag ids
+  // would silently index the wrong streams.
+  void VerifyTagDef(TagId id, std::string_view name) const {
+    HM_CHECK_MSG(tags_.Contains(id) && tags_.Name(id) == name,
+                 "journal replay: tag definition does not match the registry");
+  }
+
+  // Raises the watermark to at least `floor` (no-op when already past it). Recovery calls
+  // this with the manifest's watermark floor / the journal's durable seqnum: truncation can
+  // erase the highest durable records (trimmed ones), and the restored allocator must still
+  // never re-issue their seqnums.
   void EnsureWatermark(SeqNum floor) {
-    if (shared_->watermark < floor) shared_->watermark = floor;
+    if (watermark_ < floor) watermark_ = floor;
   }
 
   // ---- Incremental checkpointing (DESIGN.md §14) ----
-  // Emits the image frames of THIS shard's `tag` sub-stream into the checkpoint store: first
-  // a kCkptRecord body for every referenced record not yet emitted this round (records are
-  // multi-tag, bodies are written once: each record carries the stamp of the last round that
-  // emitted it, compared against Shared::checkpoint_round), then one kCkptTagStream frame
-  // with the stream's base and live seqnums. Fully-trimmed streams (empty run, base > 0)
-  // are emitted too: their base carries the logical offsets logCondAppend depends on.
-  // Returns the walk-budget items consumed (0 when the tag has no stream here); increments
-  // *frames per frame appended.
-  size_t CheckpointTag(TagId tag, storage::CheckpointStore* store, int64_t* frames);
+  // One checkpoint round walks every interned tag in id order (stable across registry
+  // growth), emitting record bodies (deduped round-wide — records are multi-tag) and
+  // per-tag stream snapshots. The walk is resumable in bounded slices; tags interned after a
+  // slice are picked up by later slices, and their records also ride the replay suffix, so
+  // either way the image + suffix composition is exact.
+  void BeginCheckpointWalk();
+  // Emits roughly `budget` items' worth of image frames; returns true once every tag has
+  // been walked. *frames counts frames appended by this slice.
+  bool WriteCheckpointSlice(storage::CheckpointStore* store, int64_t budget, int64_t* frames);
 
   // Image-restore installers. A body installs with zero live-tag refs (streams re-reference
   // it as they restore); a stream sets its base, pushes its seqnums and takes one ref per
@@ -294,37 +282,32 @@ class LogSpace {
   void RestoreCheckpointStream(SimTime now, TagId tag, size_t base,
                                const std::vector<SeqNum>& seqnums);
 
-  // Drops THIS shard's volatile record store and sub-stream indices (node loss). The caller
-  // (ShardedLog::ResetVolatile) resets the shared state — gauge and watermark.
-  void ResetShardVolatile();
-
   // Smallest seqnum the next append could receive; strictly greater than every committed
   // seqnum (watermark + 1, which IS the next seqnum when unsharded).
-  SeqNum next_seqnum() const { return shared_->watermark + 1; }
+  SeqNum next_seqnum() const { return watermark_ + 1; }
 
-  // Number of records currently held by THIS shard (not yet trimmed from all their tags).
-  // ShardedLog::live_records() sums across shards.
+  // Number of records currently held (not yet trimmed from all their tags).
   size_t live_records() const { return records_.size(); }
 
-  // Total seqnum entries retained across this shard's sub-stream indices. Bounded by the
-  // number of live (tag, record) pairs: trimmed prefixes are compacted away, so a fully
-  // trimmed stream holds zero entries no matter how long its history (regression guard for
-  // the old keep-forever index).
+  // Total seqnum entries retained across the sub-stream indices. Bounded by the number of
+  // live (tag, record) pairs: trimmed prefixes are compacted away, so a fully trimmed stream
+  // holds zero entries no matter how long its history (regression guard for the old
+  // keep-forever index).
   size_t IndexEntries() const;
 
-  // Seqnum slots allocated across this shard's sub-stream indices (live entries, a not yet
-  // compacted dead prefix, and spare capacity). A fully trimmed stream holds none.
+  // Seqnum slots allocated across the sub-stream indices (live entries, a not yet compacted
+  // dead prefix, and spare capacity). A fully trimmed stream holds none.
   size_t IndexCapacity() const;
 
-  int64_t CurrentBytes() const { return shared_->gauge.CurrentBytes(); }
-  metrics::StorageGauge& gauge() { return shared_->gauge; }
+  int64_t CurrentBytes() const { return gauge_.CurrentBytes(); }
+  metrics::StorageGauge& gauge() { return gauge_; }
 
-  // Invoked synchronously at each commit with the new seqnum; the runtime uses it to schedule
-  // index propagation to every function node. Shared across shards: encoded seqnums are
-  // allocated in commit order, so the listener observes a strictly increasing sequence no
-  // matter which shards commit.
+  // Invoked synchronously at each commit round with its last seqnum; the runtime uses it to
+  // schedule index propagation to every function node. Encoded seqnums are allocated in
+  // commit order, so the listener observes a strictly increasing sequence no matter which
+  // shards commit.
   void SetCommitListener(std::function<void(SeqNum)> listener) {
-    shared_->commit_listener = std::move(listener);
+    commit_listener_ = std::move(listener);
   }
 
  private:
@@ -380,7 +363,7 @@ class LogSpace {
   std::vector<TagId> InternAll(std::vector<std::string> names) {
     std::vector<TagId> ids;
     ids.reserve(names.size());
-    for (const std::string& name : names) ids.push_back(shared_->tags.Intern(name));
+    for (const std::string& name : names) ids.push_back(tags_.Intern(name));
     return ids;
   }
 
@@ -393,84 +376,72 @@ class LogSpace {
     uint32_t checkpoint_round = 0;
   };
 
-  void PreinternWellKnown();
-
-  // ---- Cross-shard routing ----
-  // A tag's sub-stream lives on the shard TagRegistry::ShardOf names; a record lives on the
-  // shard that sequenced it, recoverable from the seqnum encoding. When unsharded both
-  // resolve to `this` and compile down to the historic direct access.
-  LogSpace* TagOwner(TagId tag) { return peers_[shared_->tags.ShardOf(tag)]; }
-  const LogSpace* TagOwner(TagId tag) const { return peers_[shared_->tags.ShardOf(tag)]; }
-  // Null for ids never interned (name-based reads probing unknown tags).
-  const LogSpace* TagOwnerOrNull(TagId tag) const {
-    return shared_->tags.Contains(tag) ? TagOwner(tag) : nullptr;
-  }
-  LogSpace* SeqOwner(SeqNum seqnum) { return peers_[seqnum % shard_count_]; }
-  const LogSpace* SeqOwner(SeqNum seqnum) const { return peers_[seqnum % shard_count_]; }
-
-  // Allocates the next encoded seqnum for an append sequenced by THIS shard and advances the
-  // shared watermark. Strictly increasing across shards; exactly watermark + 1 when unsharded.
-  SeqNum AllocSeqNum() {
-    SeqNum local = shared_->watermark / shard_count_ + 1;
-    SeqNum enc = local * shard_count_ + shard_;
-    shared_->watermark = enc;
+  // Allocates the next encoded seqnum for an append sequenced by `shard` and advances the
+  // watermark. Strictly increasing across shards; exactly watermark + 1 when unsharded.
+  SeqNum AllocSeqNum(uint32_t shard) {
+    SeqNum local = watermark_ / shard_count_ + 1;
+    SeqNum enc = local * shard_count_ + shard;
+    watermark_ = enc;
     return enc;
   }
 
-  // The append/batch bodies, running on the routing (sequencing) shard.
-  SeqNum AppendLocal(SimTime now, std::vector<TagId> tags, FieldMap fields);
-  CondAppendResult CondAppendLocal(SimTime now, std::vector<TagId> tags, FieldMap fields,
-                                   TagId cond_tag, size_t cond_pos);
-  CondAppendResult CondAppendBatchLocal(SimTime now, std::vector<BatchEntry> batch,
-                                        TagId cond_tag, size_t cond_pos);
-  SeqNum AppendBatchLocal(SimTime now, std::vector<BatchEntry> batch);
-  size_t TrimLocal(SimTime now, TagId tag, SeqNum upto, bool journal);
+  // Commits one record sequenced by `shard`: allocates its seqnum, installs it, and journals
+  // it. The commit listener is AppendGroup's business (once per round).
+  SeqNum AppendLocal(SimTime now, uint32_t shard, std::vector<TagId> tags, FieldMap fields);
 
-  // The shared body of AppendLocal and RestoreRecordLocal: builds the immutable record and
+  // The shared body of AppendLocal and RestoreRecord: builds the immutable record and
   // installs it into the record store, the per-tag sub-streams, and the storage gauge —
   // everything EXCEPT seqnum allocation, journaling, and commit notification, which is
   // exactly what differs between a live append and a journal replay.
   LogRecordPtr InstallRecord(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
                              FieldMap fields);
   // Encodes the kRecord / kCkptRecord payload (they share one encoding: seqnum, tags, fields)
-  // into the reused Shared::payload buffer.
+  // into the reused payload_ buffer.
   const std::string& EncodeRecordPayload(const LogRecord& record);
   // Builds the immutable record object (op interned) without installing it anywhere.
   LogRecordPtr MakeRecord(SeqNum seqnum, std::vector<TagId> tags, FieldMap fields);
   void JournalRecord(const LogRecord& record);
-  void RestoreRecordLocal(SimTime now, SeqNum seqnum, std::vector<TagId> tags, FieldMap fields);
-  void RestoreRecordFuzzyLocal(SimTime now, SeqNum seqnum, std::vector<TagId> tags,
-                               FieldMap fields);
-  void RestoreTrimLocal(SimTime now, TagId tag, SeqNum upto, size_t base_after);
-  void RestoreCheckpointStreamLocal(SimTime now, TagId tag, size_t base,
-                                    const std::vector<SeqNum>& seqnums);
-  // +1 live-tag ref on the record at `seqnum` (must exist); image-stream restore only.
-  void TakeRefLocal(SeqNum seqnum);
 
-  // Stream for `tag` on THIS shard, or null if the tag never had an append. Interned ids are
-  // dense, so the stream table is a flat vector indexed by id: the per-op "hash" is a bounds
-  // check. (Sparse per shard when sharded — only owned tags ever grow a stream.)
+  // Emits the image frames of `tag`'s sub-stream into the checkpoint store: first a
+  // kCkptRecord body for every referenced record not yet emitted this round (each record
+  // carries the stamp of the last round that emitted it, compared against checkpoint_round_),
+  // then one kCkptTagStream frame with the stream's base and live seqnums. Fully-trimmed
+  // streams (empty run, base > 0) are emitted too: their base carries the logical offsets
+  // logCondAppend depends on. Returns the walk-budget items consumed (0 when the tag has no
+  // stream); increments *frames per frame appended.
+  size_t CheckpointTag(TagId tag, storage::CheckpointStore* store, int64_t* frames);
+
+  // Stream for `tag`, or null if the tag never had an append (or was never interned).
+  // Interned ids are dense, so the stream table is a flat vector indexed by id: the per-op
+  // "hash" is a bounds check.
   const TagStream* FindStream(TagId tag) const {
     return tag < streams_.size() ? &streams_[tag] : nullptr;
   }
   TagStream& StreamFor(TagId tag);
 
-  LogRecordPtr LookupLive(SeqNum seqnum) const;
   void ReleaseRef(SimTime now, SeqNum seqnum);
-  void ReleaseRefLocal(SimTime now, SeqNum seqnum);
 
   // Evaluates a logCondAppend condition against the current stream state. Returns true when
   // the append may proceed; on conflict fills `existing` with the occupant of `cond_pos`.
   bool CondHolds(TagId cond_tag, size_t cond_pos, SeqNum* existing);
 
-  std::unique_ptr<Shared> owned_shared_;  // Standalone mode only.
-  Shared* shared_;
-  uint32_t shard_ = 0;
-  uint32_t shard_count_ = 1;
-  std::vector<LogSpace*> peers_;  // Indexed by shard id; {this} when standalone.
+  const uint32_t shard_count_;
+  TagRegistry tags_;
+  TagRegistry ops_;
+  metrics::StorageGauge gauge_;
+  SeqNum watermark_ = 0;  // Largest encoded seqnum committed so far; 0 = nothing committed.
+  std::function<void(SeqNum)> commit_listener_;
+  storage::DurabilityService* durability_ = nullptr;  // See AttachDurability.
 
   std::unordered_map<SeqNum, StoredRecord> records_;
   std::vector<TagStream> streams_;  // Indexed by TagId; grown on first append of a tag.
+
+  // Checkpoint walk (DESIGN.md §14): the current round's stamp (bumped per round, never 0),
+  // the cursor (valid between BeginCheckpointWalk and the slice returning true), and the
+  // reused encode buffer for record and stream payloads.
+  uint32_t checkpoint_round_ = 0;
+  TagId walk_next_tag_ = 0;
+  std::string payload_;
 };
 
 }  // namespace halfmoon::sharedlog

@@ -173,11 +173,11 @@ TEST(ShardedEquivalenceTest, ShardCountsProduceEquivalentExecutions) {
 }
 
 TEST(ShardedEquivalenceTest, PipelineDepthsCommitIdenticalContent) {
-  // The pipelined append engine (DESIGN.md §12) commits rounds strictly in departure order,
-  // so at ANY depth the committed content, the seqnum assignment and supply, the KV state and
-  // the oracle verdict must match the serial engine exactly. Event counts and end times
-  // legitimately differ — the dispatcher runs rounds as separate tasks — which is precisely
-  // why depth 1 bypasses the pipelined engine entirely (pinned by
+  // The append engine (DESIGN.md §12) commits rounds strictly in departure order, so at ANY
+  // depth the committed content, the seqnum assignment and supply, the KV state and the
+  // oracle verdict must match depth 1 exactly. Event counts and end times legitimately
+  // differ — deeper, the dispatcher spawns rounds as separate tasks — which is precisely why
+  // depth 1 awaits each round inline instead (pinned by
   // OneShardIsBitIdenticalToPreShardingGoldens above).
   std::vector<faultcheck::Workload> all = faultcheck::AllWorkloads();
   for (ProtocolKind protocol : kProtocols) {

@@ -17,19 +17,23 @@
 #include "src/sharedlog/log_client.h"
 #include "src/sharedlog/log_space.h"
 #include "src/sim/scheduler.h"
+#include "src/sim/service_station.h"
 
 namespace halfmoon::sharedlog {
 namespace {
 
-// A mini-cluster of `nodes` LogClients sharing one LogSpace, with group commit configurable
-// per fixture. The scheduler is declared first so clients (and their batcher round loops)
-// are destroyed before the scheduler tears down any still-suspended detached frames.
+// A mini-cluster of `nodes` LogClients sharing one LogSpace of `shards` shards, with group
+// commit configurable per fixture. The scheduler is declared first so clients (and their
+// batcher round loops) are destroyed before the scheduler tears down any still-suspended
+// detached frames.
 struct BatchFixture {
-  explicit BatchFixture(AppendBatchConfig batch, int nodes = 2, uint64_t seed = 7)
-      : rng(seed) {
+  explicit BatchFixture(AppendBatchConfig batch, int nodes = 2, uint64_t seed = 7,
+                        uint32_t shards = 1)
+      : rng(seed), space(shards) {
     for (int i = 0; i < nodes; ++i) {
-      clients.push_back(std::make_unique<LogClient>(&scheduler, &rng, &models, &space,
-                                                    nullptr, nullptr, batch));
+      clients.push_back(std::make_unique<LogClient>(
+          &scheduler, &rng, &models, &space, std::vector<sim::ServiceStation*>{}, nullptr,
+          batch));
     }
   }
 
@@ -119,8 +123,8 @@ sim::Task<void> WorkerProgram(LogClient* client, TagId own, TagId shared, uint64
 }
 
 RunResult RunWorkload(AppendBatchConfig batch, uint64_t seed, int workers_per_node,
-                      int ops_per_worker) {
-  BatchFixture fx(batch, /*nodes=*/2, seed);
+                      int ops_per_worker, uint32_t shards = 1) {
+  BatchFixture fx(batch, /*nodes=*/2, seed, shards);
   TagId shared = fx.space.tags().Intern("shared");
   int total_workers = 2 * workers_per_node;
   RunResult result;
@@ -152,25 +156,30 @@ RunResult RunWorkload(AppendBatchConfig batch, uint64_t seed, int workers_per_no
 }
 
 TEST(AppendBatcherTest, BatchedMatchesUnbatchedContent) {
-  for (uint64_t seed : {1u, 13u, 977u}) {
-    RunResult batched =
-        RunWorkload(AppendBatchConfig{.enabled = true}, seed, /*workers_per_node=*/6,
-                    /*ops_per_worker=*/12);
-    RunResult reference =
-        RunWorkload(AppendBatchConfig{.enabled = false}, seed, /*workers_per_node=*/6,
-                    /*ops_per_worker=*/12);
-    ASSERT_EQ(batched.workers.size(), reference.workers.size());
-    for (size_t w = 0; w < batched.workers.size(); ++w) {
-      EXPECT_EQ(batched.workers[w].own_payloads, reference.workers[w].own_payloads)
-          << "worker " << w << " seed " << seed;
-      EXPECT_EQ(batched.workers[w].verdicts, reference.workers[w].verdicts)
-          << "worker " << w << " seed " << seed;
+  // The 4-shard input runs both paths on a sharded log: per-shard batcher queues on one
+  // side, the per-request round routed to the sequencing shard on the other.
+  for (uint32_t shards : {1u, 4u}) {
+    for (uint64_t seed : {1u, 13u, 977u}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + " seed " + std::to_string(seed));
+      RunResult batched =
+          RunWorkload(AppendBatchConfig{.enabled = true}, seed, /*workers_per_node=*/6,
+                      /*ops_per_worker=*/12, shards);
+      RunResult reference =
+          RunWorkload(AppendBatchConfig{.enabled = false}, seed, /*workers_per_node=*/6,
+                      /*ops_per_worker=*/12, shards);
+      ASSERT_EQ(batched.workers.size(), reference.workers.size());
+      for (size_t w = 0; w < batched.workers.size(); ++w) {
+        EXPECT_EQ(batched.workers[w].own_payloads, reference.workers[w].own_payloads)
+            << "worker " << w;
+        EXPECT_EQ(batched.workers[w].verdicts, reference.workers[w].verdicts)
+            << "worker " << w;
+      }
+      EXPECT_EQ(batched.shared_payloads_sorted, reference.shared_payloads_sorted);
+      EXPECT_EQ(batched.log_by_seqnum.size(), reference.log_by_seqnum.size());
+      // Batching actually kicked in: fewer sequencer rounds than requests.
+      EXPECT_GT(batched.batched_requests, batched.append_rounds);
+      EXPECT_EQ(reference.append_rounds, 0);
     }
-    EXPECT_EQ(batched.shared_payloads_sorted, reference.shared_payloads_sorted);
-    EXPECT_EQ(batched.log_by_seqnum.size(), reference.log_by_seqnum.size());
-    // Batching actually kicked in: fewer sequencer rounds than requests.
-    EXPECT_GT(batched.batched_requests, batched.append_rounds);
-    EXPECT_EQ(reference.append_rounds, 0);
   }
 }
 
@@ -261,7 +270,7 @@ TEST(AppendBatcherTest, IsolatedAppendKeepsUnbatchedLatency) {
 //
 // The pipelined engine keeps up to pipeline_depth sequencer rounds in flight but commits
 // them strictly in departure order, so the protocol-visible outcome at any depth must be
-// identical to the serial engine's. The workload shape uses a small max_batch so the
+// identical to depth 1's. The workload shape uses a small max_batch so the
 // round-limited regime (more pending work than one round can carry) actually engages the
 // pipeline.
 
@@ -301,9 +310,9 @@ TEST(AppendBatcherTest, PipelinedRunsAreBitIdenticalAcrossRepeats) {
   EXPECT_EQ(first.rounds_overlapped, second.rounds_overlapped);
 }
 
-// Depth 1 must run the historic serial loop — an explicitly-constructed depth-1 config and
-// the default config are the same engine, bit for bit (the cluster-level golden pins in
-// sharded_equivalence_test check the same property against the PR 4 capture).
+// An explicitly-constructed depth-1 config and the default config are the same engine, bit
+// for bit (the cluster-level golden pins in sharded_equivalence_test check depth 1 against
+// the pre-pipelining capture).
 TEST(AppendBatcherTest, DepthOneIsBitIdenticalToSerialEngine) {
   RunResult serial = RunWorkload(AppendBatchConfig{.enabled = true}, 7, 6, 12);
   RunResult depth1 =
@@ -387,7 +396,7 @@ TEST(AppendBatcherTest, PipelineOverlapsRoundsAndShrinksMakespan) {
   };
   auto [serial_time, serial_inflight] = run_at_depth(1);
   auto [piped_time, piped_inflight] = run_at_depth(4);
-  EXPECT_EQ(serial_inflight, 0);  // Serial engine never reports pipeline depth.
+  EXPECT_EQ(serial_inflight, 1);  // Depth 1 never has two rounds airborne.
   EXPECT_EQ(piped_inflight, 4);
   // 16 rounds at depth 4 ≈ 4 serial "generations" plus skew: comfortably under half.
   EXPECT_LT(piped_time * 2, serial_time);

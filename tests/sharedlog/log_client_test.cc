@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/latency_model.h"
-#include "src/sharedlog/sharded_log.h"
+#include "src/sharedlog/log_space.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/sync.h"
 
@@ -15,10 +15,10 @@ struct ClientFixture {
   Rng rng{7};
   LatencyModels models;
   LogSpace space;
-  LogClient client{&scheduler, &rng, &models, &space, nullptr, nullptr};
+  LogClient client{&scheduler, &rng, &models, &space, {}, nullptr};
 
   // Second client on another "node" sharing the space but with its own index replica.
-  LogClient other{&scheduler, &rng, &models, &space, nullptr, nullptr};
+  LogClient other{&scheduler, &rng, &models, &space, {}, nullptr};
 };
 
 FieldMap Fields(const std::string& op) {
@@ -151,12 +151,12 @@ TEST(LogClientTest, TrimRemovesRecords) {
   EXPECT_EQ(fx.client.stats().trims, 1);
 }
 
-// Fixture with the node-local payload cache on (requires the sharded-cluster constructor).
+// Fixture with the node-local payload cache on.
 struct CachedClientFixture {
   sim::Scheduler scheduler;
   Rng rng{7};
   LatencyModels models;
-  ShardedLog log{1};
+  LogSpace log;
   LogClient client{&scheduler,
                    &rng,
                    &models,

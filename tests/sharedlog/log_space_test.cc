@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/sharedlog/sharded_log.h"
+#include "src/sharedlog/log_space.h"
 
 namespace halfmoon::sharedlog {
 namespace {
@@ -508,8 +508,7 @@ TEST(LogSpaceTest, FuzzyRestoreInsertsMidStreamAfterPartialTrim) {
 
 // Reference for LiveTagsWithPrefix: every interned name whose stream has a live record and
 // which starts with `prefix`, in name order.
-template <typename Log>
-std::vector<std::string> NaiveLiveNames(const Log& log, std::string_view prefix) {
+std::vector<std::string> NaiveLiveNames(const LogSpace& log, std::string_view prefix) {
   std::vector<std::string> names;
   for (TagId tag = 0; tag < log.tags().size(); ++tag) {
     const std::string& name = log.tags().Name(tag);
@@ -519,8 +518,7 @@ std::vector<std::string> NaiveLiveNames(const Log& log, std::string_view prefix)
   return names;
 }
 
-template <typename Log>
-void ExpectLiveTagsMatchNaive(const Log& log, const std::string& when) {
+void ExpectLiveTagsMatchNaive(const LogSpace& log, const std::string& when) {
   for (std::string_view prefix : {"", "k:", "k", "k:o", "x", "zz"}) {
     std::vector<std::string> naive = NaiveLiveNames(log, prefix);
     std::vector<std::string> by_id;
@@ -531,8 +529,7 @@ void ExpectLiveTagsMatchNaive(const Log& log, const std::string& when) {
   }
 }
 
-template <typename Log>
-void RunLiveTagsTrimReappendCycle(Log& log) {
+void RunLiveTagsTrimReappendCycle(LogSpace& log) {
   std::mt19937_64 rng(7);
   std::vector<TagId> tags;
   for (int i = 0; i < 40; ++i) {
@@ -573,7 +570,7 @@ TEST(LogSpaceTest, LiveTagsMatchNaiveFilterAcrossTrimAndReappend) {
 }
 
 TEST(LogSpaceTest, LiveTagsMatchNaiveFilterOnFourShards) {
-  ShardedLog log(4);
+  LogSpace log(4);
   std::vector<bool> owning(4, false);
   for (int i = 0; i < 40; ++i) {
     owning[log.ShardOfTag(log.tags().Intern("k:obj" + std::to_string(i)))] = true;

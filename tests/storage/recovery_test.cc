@@ -15,7 +15,7 @@
 #include "src/kvstore/kv_state.h"
 #include "src/runtime/cluster.h"
 #include "src/sharedlog/log_record.h"
-#include "src/sharedlog/sharded_log.h"
+#include "src/sharedlog/log_space.h"
 #include "src/sim/task.h"
 #include "tests/testing/config_from_env.h"
 
