@@ -207,11 +207,9 @@ bool KvState::WriteCheckpointSlice(storage::CheckpointStore* store, int64_t budg
     const auto& versions = versioned_[walk_object_];
     auto it = walk_version_valid_ ? versions.upper_bound(walk_version_) : versions.begin();
     while (it != versions.end()) {
-      if (consumed >= budget) {
-        walk_version_ = it->first;
-        walk_version_valid_ = true;
-        return false;
-      }
+      // Pause before `it`: the resume point stays the last version emitted, so the next
+      // slice's upper_bound lands back on `it`.
+      if (consumed >= budget) return false;
       payload_.clear();
       storage::PutU64(&payload_, static_cast<uint64_t>(walk_object_));
       storage::PutStr(&payload_, it->first);

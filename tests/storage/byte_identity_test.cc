@@ -226,15 +226,20 @@ TEST(StorageBytePinTest, MovieHalfmoonWriteSingleShard) {
                 {48, 48, 0, 11477, 405171, 96, 2389908, 47905025}});
 }
 
+// Re-pinned when KvState::WriteCheckpointSlice stopped dropping one live version at every
+// pause inside an object's version index (it recorded the version it had *not* emitted as
+// the resume point, then resumed past it): the images now carry 55 more version frames, and
+// only the image digest, the KV store's device counters and the service's image-frame and
+// store-truncation counters moved. The journals are byte-identical.
 TEST(StorageBytePinTest, TravelHalfmoonReadFourShards) {
   ExpectPinned({"travel/hm-read/shards=4", ProtocolKind::kHalfmoonRead, false, 4},
                {22,
-                0xbe31e339e8263273ull,
+                0xab3bfa6146dae3a6ull,
                 0xa23abd91cdc960d9ull,
                 0x522b2d0b8be9f6d5ull,
-                {4038, 16539648, 471040, 38, 155648, 65536, 985, 4034560, 1478656, 250, 1024000,
-                 647168},
-                {11, 11, 0, 634, 22499, 22, 541513, 2128689}});
+                {4038, 16539648, 471040, 38, 155648, 65536, 985, 4034560, 1478656, 254, 1040384,
+                 659456},
+                {11, 11, 0, 634, 22554, 22, 541513, 2142567}});
 }
 
 }  // namespace

@@ -95,8 +95,9 @@ void PrintRecovery(const char* what, const Cluster& cluster) {
 }
 
 TEST(CheckpointRecoveryTest, ImagePlusSuffixMatchesFullReplayExactly) {
-  // The default slice budget and a tiny one.
-  for (int64_t slice : {int64_t{4096}, int64_t{7}}) {
+  // The default slice budget and tiny ones: budgets of 1 and 2 pause the version-index walk
+  // inside an object, so every resume point is exercised.
+  for (int64_t slice : {int64_t{4096}, int64_t{7}, int64_t{2}, int64_t{1}}) {
     SCOPED_TRACE("checkpoint_slice=" + std::to_string(slice));
     ClusterConfig config = CheckpointConfig();
     config.checkpoint_slice = slice;
