@@ -67,25 +67,17 @@ void GcService::RunOnce() {
     }
   }
 
-  // (3) Step logs of finished workflows. Resolve without interning: an instance that never
-  // logged (e.g. unsafe protocol) has no step stream and no registry entry to create.
-  for (const std::string& instance_id : cluster_->DrainStepLogTrimQueue()) {
-    TagId step_tag = log.tags().Find(instance_id);
-    // Instances that never logged (e.g. unsafe protocol) have no step log to trim and must
-    // not inflate the counter.
-    if (step_tag != sharedlog::kInvalidTagId && log.Trim(now, step_tag, sharedlog::kMaxSeqNum) > 0) {
-      ++stats_.step_logs_trimmed;
-    }
+  // (3) Step logs of drained workflows (resolved to tags when the workflow drained).
+  for (TagId step_tag : cluster_->DrainStepLogTrimQueue()) {
+    if (log.Trim(now, step_tag, sharedlog::kMaxSeqNum) > 0) ++stats_.step_logs_trimmed;
   }
 
-  // (4) The global init stream: records below the frontier belong to finished SSFs. The
-  // completion bookkeeping of those SSFs is pruned with it, keeping tracking memory bounded.
+  // (4) The global init stream: records below the frontier belong to finished SSFs.
   // Counts trimmed *records*, not scans (a scan that trims nothing adds nothing).
   if (frontier > 0) {
     stats_.init_records_trimmed +=
         static_cast<int64_t>(log.Trim(now, sharedlog::kInitTagId, frontier - 1));
   }
-  cluster_->PruneFinishedTracking();
 }
 
 }  // namespace halfmoon::core

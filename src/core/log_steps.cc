@@ -151,7 +151,7 @@ sim::Task<void> InitSsf(Env& env, const Value& input) {
   env.init_cursor_ts = init.record->seqnum;
   // Feed the incremental GC/switch frontier. Idempotent across replays and peers: every
   // attempt recovers the same init record, hence registers the same seqnum.
-  env.cluster->RegisterInitRecord(env.instance_id, init.record->seqnum);
+  env.cluster->RegisterInitRecord(init.record->seqnum);
 }
 
 sim::Task<void> InitChildSsf(Env& env, SeqNum inherited_cursor) {

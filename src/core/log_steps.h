@@ -54,8 +54,8 @@ sim::Task<void> InitSsf(Env& env, const Value& input);
 // Init for a child SSF of a workflow: per the §4.3 remark, the initial cursorTS only needs to
 // be deterministic and "can be inherited from the parent SSF" — we inherit the seqnum of the
 // parent's invoke-pre record and skip the init append. The child needs no init record in the
-// global stream either: the GC/switch frontier is held back by its root's init record until
-// the whole workflow drains.
+// global stream either: the GC/switch frontier is held back by the init records its workflow
+// appended (with inheritance on, only the root's) until the whole workflow drains.
 sim::Task<void> InitChildSsf(Env& env, sharedlog::SeqNum inherited_cursor);
 
 // Fetches the record of a lost logCondAppend race (the peer's record at the expected offset).

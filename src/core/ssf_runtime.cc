@@ -28,8 +28,8 @@ ProtocolKind KindFromInt(int64_t v) {
 
 class ContextImpl final : public SsfContext {
  public:
-  ContextImpl(SsfRuntime* runtime, Env* env, const Value* input, std::string root_id)
-      : runtime_(runtime), env_(env), input_(input), root_id_(std::move(root_id)) {}
+  ContextImpl(SsfRuntime* runtime, Env* env, const SsfRuntime::Invocation* invocation)
+      : runtime_(runtime), env_(env), invocation_(invocation) {}
 
   sim::Task<Value> Read(std::string key) override {
     ProtocolResolution res = co_await ResolveFor(key, /*is_read=*/true);
@@ -114,7 +114,7 @@ class ContextImpl final : public SsfContext {
     co_await LogStep(*env_, sharedlog::NoTags(), std::move(fields));
   }
 
-  const Value& input() const override { return *input_; }
+  const Value& input() const override { return invocation_->input; }
   const std::string& instance_id() const override { return env_->instance_id; }
 
  private:
@@ -124,7 +124,7 @@ class ContextImpl final : public SsfContext {
   sim::Task<Value> CallChild(std::string callee, std::string function, Value input,
                              SeqNum inherited_cursor) {
     env_->node->workers().Release();
-    Value result = co_await runtime_->RunInvocation(std::move(callee), root_id_,
+    Value result = co_await runtime_->RunInvocation(invocation_->workflow, std::move(callee),
                                                     std::move(function), std::move(input),
                                                     inherited_cursor);
     co_await env_->node->workers().Acquire();
@@ -152,7 +152,7 @@ class ContextImpl final : public SsfContext {
     for (size_t i = 0; i < calls.size(); ++i) {
       handles.push_back(sim::SpawnJoinable(
           env_->cluster->scheduler(),
-          runtime_->RunInvocation(callees[i], root_id_, std::move(calls[i].first),
+          runtime_->RunInvocation(invocation_->workflow, callees[i], std::move(calls[i].first),
                                   std::move(calls[i].second), cursors[i])));
     }
     std::vector<Value> results;
@@ -467,8 +467,7 @@ class ContextImpl final : public SsfContext {
 
   SsfRuntime* runtime_;
   Env* env_;
-  const Value* input_;
-  std::string root_id_;
+  const SsfRuntime::Invocation* invocation_;
 };
 
 // ---------------------------------------------------------------------------
@@ -490,71 +489,77 @@ sim::Task<Value> SsfRuntime::InvokeSsf(std::string name, Value input) {
   std::string id = name + "#" + std::to_string(next_invocation_++);
   inflight_.Add();
   ++stats_.invocations;
+  auto workflow = std::make_shared<Workflow>();
   Value result;
   try {
-    result = co_await RunInvocation(id, /*root_id=*/id, std::move(name), std::move(input));
+    result = co_await RunInvocation(workflow, std::move(id), std::move(name), std::move(input));
   } catch (...) {
     inflight_.Done();
     throw;
   }
+  workflow->root_done = true;
+  MaybeFinishWorkflow(*workflow);
   inflight_.Done();
   co_return result;
 }
 
-sim::Task<Value> SsfRuntime::RunInvocation(std::string instance_id, std::string root_id,
-                                           std::string name, Value input,
-                                           sharedlog::SeqNum inherited_cursor) {
-  WorkflowState& workflow = workflows_[root_id];
-  workflow.members.push_back(instance_id);
-  auto state = std::make_shared<InvocationState>();
+sim::Task<Value> SsfRuntime::RunInvocation(std::shared_ptr<Workflow> workflow,
+                                           std::string instance_id, std::string name,
+                                           Value input, sharedlog::SeqNum inherited_cursor) {
+  workflow->members.push_back(instance_id);
+  auto invocation = std::make_shared<Invocation>(Invocation{.workflow = std::move(workflow),
+                                                            .instance_id = std::move(instance_id),
+                                                            .name = std::move(name),
+                                                            .input = std::move(input),
+                                                            .inherited_cursor = inherited_cursor});
 
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
-    if (state->done) break;  // A peer instance completed the work.
+    if (invocation->done) break;  // A peer instance completed the work.
 
     // The platform may suspect a timeout and race a duplicate instance (§5.1).
     if (cluster_->failure_injector().ShouldDuplicate(cluster_->rng())) {
       ++stats_.peer_instances;
-      cluster_->scheduler().Spawn(RunPeer(state, instance_id, root_id, name, input,
-                                          attempt + 1000, inherited_cursor));
+      cluster_->scheduler().Spawn(RunPeer(invocation, attempt + 1000));
     }
 
-    ++stats_.attempts;
-    ++state->live_attempts;
-    ++workflows_[root_id].live_attempts;
-    bool crashed = false;
-    try {
-      Value result = co_await RunAttempt(state.get(), instance_id, root_id, name, input,
-                                         attempt, inherited_cursor);
-      --state->live_attempts;
-      if (!state->done) {
-        state->done = true;
-        state->result = std::move(result);
-      }
-    } catch (const runtime::SsfCrashed&) {
-      --state->live_attempts;
-      ++stats_.crashes;
-      crashed = true;
-    }
-    --workflows_[root_id].live_attempts;
-    if (!crashed) break;
+    if (co_await RunCountedAttempt(*invocation, attempt)) break;
     // Crash detected: the platform re-executes after the detection delay.
     co_await cluster_->scheduler().Delay(config_.retry_delay);
   }
 
-  HM_CHECK_MSG(state->done, "invocation exhausted its retry budget");
-  Value result = state->result;
-  if (instance_id == root_id) {
-    workflows_[root_id].root_done = true;
-  }
-  MaybeFinishWorkflow(root_id);
-  co_return result;
+  HM_CHECK_MSG(invocation->done, "invocation exhausted its retry budget");
+  co_return invocation->result;
 }
 
-sim::Task<Value> SsfRuntime::RunAttempt(InvocationState* state, const std::string& instance_id,
-                                        const std::string& root_id, const std::string& name,
-                                        const Value& input, int attempt,
-                                        sharedlog::SeqNum inherited_cursor) {
-  auto it = functions_.find(name);
+sim::Task<void> SsfRuntime::RunPeer(std::shared_ptr<Invocation> invocation, int attempt) {
+  co_await cluster_->scheduler().Delay(config_.duplicate_delay);
+  if (invocation->done) co_return;  // The primary finished before the peer launched.
+  // Peers are not retried; the primary's retry loop drives progress.
+  co_await RunCountedAttempt(*invocation, attempt);
+}
+
+sim::Task<bool> SsfRuntime::RunCountedAttempt(Invocation& invocation, int attempt) {
+  Workflow& workflow = *invocation.workflow;
+  ++stats_.attempts;
+  ++workflow.live_attempts;
+  bool completed = true;
+  try {
+    Value result = co_await RunAttempt(invocation, attempt);
+    if (!invocation.done) {
+      invocation.done = true;
+      invocation.result = std::move(result);
+    }
+  } catch (const runtime::SsfCrashed&) {
+    ++stats_.crashes;
+    completed = false;
+  }
+  --workflow.live_attempts;
+  MaybeFinishWorkflow(workflow);
+  co_return completed;
+}
+
+sim::Task<Value> SsfRuntime::RunAttempt(const Invocation& invocation, int attempt) {
+  auto it = functions_.find(invocation.name);
   HM_CHECK_MSG(it != functions_.end(), "unknown function");
 
   // Gateway dispatch hop, then wait for a worker slot on the chosen node.
@@ -565,61 +570,40 @@ sim::Task<Value> SsfRuntime::RunAttempt(InvocationState* state, const std::strin
   sim::SemaphoreGuard guard(&node.workers());
 
   Env env;
-  env.instance_id = instance_id;
+  env.instance_id = invocation.instance_id;
   env.attempt = attempt;
   env.cluster = cluster_;
   env.node = &node;
   env.preserve_write_order = config_.preserve_write_order;
   env.drop_commit_append = config_.drop_commit_append;
 
-  ContextImpl context(this, &env, &input, root_id);
+  ContextImpl context(this, &env, &invocation);
   if (config_.default_protocol != ProtocolKind::kUnsafe) {
-    if (inherited_cursor == sharedlog::kInvalidSeqNum || !config_.inherit_child_cursor) {
-      co_await InitSsf(env, input);
+    if (invocation.inherited_cursor == sharedlog::kInvalidSeqNum ||
+        !config_.inherit_child_cursor) {
+      co_await InitSsf(env, invocation.input);
+      // Retries and peers recover the same init record; releasing it twice is harmless.
+      invocation.workflow->init_seqnums.push_back(env.init_cursor_ts);
     } else {
-      co_await InitChildSsf(env, inherited_cursor);
+      co_await InitChildSsf(env, invocation.inherited_cursor);
     }
   }
   co_return co_await it->second(context);
 }
 
-sim::Task<void> SsfRuntime::RunPeer(std::shared_ptr<InvocationState> state,
-                                    std::string instance_id, std::string root_id,
-                                    std::string name, Value input, int attempt,
-                                    sharedlog::SeqNum inherited_cursor) {
-  co_await cluster_->scheduler().Delay(config_.duplicate_delay);
-  if (state->done) co_return;  // The primary finished before the peer launched.
-  ++stats_.attempts;
-  ++state->live_attempts;
-  ++workflows_[root_id].live_attempts;
-  try {
-    Value result = co_await RunAttempt(state.get(), instance_id, root_id, name, input,
-                                       attempt, inherited_cursor);
-    --state->live_attempts;
-    if (!state->done) {
-      state->done = true;
-      state->result = std::move(result);
-    }
-  } catch (const runtime::SsfCrashed&) {
-    // Peers are not retried; the primary's retry loop drives progress.
-    --state->live_attempts;
-    ++stats_.crashes;
+void SsfRuntime::MaybeFinishWorkflow(Workflow& workflow) {
+  if (!workflow.root_done || workflow.live_attempts > 0) return;
+  // The whole workflow has drained: its init records release the GC/switch frontier, and
+  // every member's step log becomes collectible. An instance that never logged (e.g. unsafe
+  // protocol) has no step stream to trim.
+  for (SeqNum init_seqnum : workflow.init_seqnums) {
+    cluster_->ReleaseInitRecord(init_seqnum);
   }
-  --workflows_[root_id].live_attempts;
-  MaybeFinishWorkflow(root_id);
-}
-
-void SsfRuntime::MaybeFinishWorkflow(const std::string& root_id) {
-  auto it = workflows_.find(root_id);
-  if (it == workflows_.end()) return;
-  if (!it->second.root_done || it->second.live_attempts > 0) return;
-  // The whole workflow has drained: the root's init record may now release the GC/switch
-  // frontier, and every member's step log becomes collectible.
-  cluster_->MarkInstanceFinished(root_id);
-  for (const std::string& member : it->second.members) {
-    cluster_->EnqueueStepLogTrim(member);
+  const sharedlog::TagRegistry& tags = cluster_->log_space().tags();
+  for (const std::string& member : workflow.members) {
+    sharedlog::TagId step_tag = tags.Find(member);
+    if (step_tag != sharedlog::kInvalidTagId) cluster_->EnqueueStepLogTrim(step_tag);
   }
-  workflows_.erase(it);
 }
 
 void SsfRuntime::PopulateObject(const std::string& key, const Value& value) {

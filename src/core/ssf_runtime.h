@@ -80,15 +80,6 @@ class SsfRuntime {
   // result after any retries. Tracks the whole workflow for garbage collection.
   sim::Task<Value> InvokeSsf(std::string name, Value input);
 
-  // Runs an invocation with a fixed instance ID (callee invocations and re-invocations).
-  // `root_id` names the root of the workflow for GC bookkeeping. Child SSFs pass
-  // `inherited_cursor` — the seqnum of the parent's invoke-pre record — and skip the init
-  // append entirely: per the §4.3 remark, the initial cursorTS only needs to be
-  // deterministic, and can be inherited from the parent SSF.
-  sim::Task<Value> RunInvocation(std::string instance_id, std::string root_id,
-                                 std::string name, Value input,
-                                 sharedlog::SeqNum inherited_cursor = sharedlog::kInvalidSeqNum);
-
   // Installs an object so that it is readable under every protocol: the LATEST slot, one
   // multi-version copy, and a write-log commit record. No latency (test/bench setup).
   void PopulateObject(const std::string& key, const Value& value);
@@ -137,38 +128,50 @@ class SsfRuntime {
  private:
   friend class ContextImpl;
 
-  struct InvocationState {
-    bool done = false;
-    Value result;
-    int live_attempts = 0;
-  };
-
-  // Per-workflow bookkeeping. A root's init record feeds the GC/switch frontier, so the root
-  // counts as running until the *entire* workflow — including lingering duplicate instances
-  // of its children — has drained; only then may versions its members might read be
-  // collected.
-  struct WorkflowState {
-    std::vector<std::string> members;
+  // One root invocation's workflow, held by every attempt and peer of every member. The init
+  // records its members appended hold the GC/switch frontier until the *entire* workflow —
+  // including lingering duplicate instances of its children — has drained; only then may
+  // versions its members might read be collected, and their step logs trimmed.
+  struct Workflow {
+    std::vector<std::string> members;  // One entry per invocation, in invocation order.
+    std::vector<sharedlog::SeqNum> init_seqnums;  // Members' init records, once per attempt.
     int live_attempts = 0;
     bool root_done = false;
   };
 
-  sim::Task<Value> RunAttempt(InvocationState* state, const std::string& instance_id,
-                              const std::string& root_id, const std::string& name,
-                              const Value& input, int attempt,
-                              sharedlog::SeqNum inherited_cursor);
+  // One invocation under a fixed instance ID, shared by its primary attempts and its peers.
+  // A child passes `inherited_cursor` — the seqnum of the parent's invoke-pre record — and
+  // skips the init append: per the §4.3 remark, the initial cursorTS only needs to be
+  // deterministic, and can be inherited from the parent SSF.
+  struct Invocation {
+    std::shared_ptr<Workflow> workflow;
+    std::string instance_id;
+    std::string name;
+    Value input;
+    sharedlog::SeqNum inherited_cursor = sharedlog::kInvalidSeqNum;
+    bool done = false;  // Set by the first attempt (primary or peer) to complete.
+    Value result{};
+  };
+
+  // Runs an invocation (the root, a callee or a re-invocation), retrying crashed attempts.
+  sim::Task<Value> RunInvocation(std::shared_ptr<Workflow> workflow, std::string instance_id,
+                                 std::string name, Value input,
+                                 sharedlog::SeqNum inherited_cursor = sharedlog::kInvalidSeqNum);
 
   // Spawned when the platform suspects a timeout: races the primary attempt (§5.1).
-  sim::Task<void> RunPeer(std::shared_ptr<InvocationState> state, std::string instance_id,
-                          std::string root_id, std::string name, Value input, int attempt,
-                          sharedlog::SeqNum inherited_cursor);
+  sim::Task<void> RunPeer(std::shared_ptr<Invocation> invocation, int attempt);
 
-  void MaybeFinishWorkflow(const std::string& root_id);
+  // One attempt that the workflow counts as live while it runs; its result completes the
+  // invocation unless another instance got there first. Returns false if it crashed.
+  sim::Task<bool> RunCountedAttempt(Invocation& invocation, int attempt);
+
+  sim::Task<Value> RunAttempt(const Invocation& invocation, int attempt);
+
+  void MaybeFinishWorkflow(Workflow& workflow);
 
   runtime::Cluster* cluster_;
   RuntimeConfig config_;
   std::unordered_map<std::string, SsfBody> functions_;
-  std::unordered_map<std::string, WorkflowState> workflows_;
   RuntimeStats stats_;
   sim::WaitGroup inflight_;
   uint64_t next_invocation_ = 0;

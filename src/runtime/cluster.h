@@ -12,12 +12,9 @@
 #include <deque>
 #include <iosfwd>
 #include <limits>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -27,7 +24,6 @@
 #include "src/kvstore/kv_state.h"
 #include "src/runtime/failure_injector.h"
 #include "src/sharedlog/log_client.h"
-#include "src/sharedlog/log_recovery.h"
 #include "src/sharedlog/log_space.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/service_station.h"
@@ -198,8 +194,8 @@ class Cluster {
   // What the last KillRestart* actually did per domain: image + replay-suffix (and how many
   // torn/corrupt manifests it skipped), or full replay. Tests and the check.sh smoke assert
   // the suffix path is really taken.
-  const sharedlog::LogRecoveryStats& last_log_recovery() const { return last_log_recovery_; }
-  const sharedlog::LogRecoveryStats& last_kv_recovery() const { return last_kv_recovery_; }
+  const storage::RecoveryStats& last_log_recovery() const { return last_log_recovery_; }
+  const storage::RecoveryStats& last_kv_recovery() const { return last_kv_recovery_; }
 
   // Whole-node loss + immediate restart, atomic at the current instant. Each wipes the
   // domain's volatile state, fails in-flight durability waiters (crashable waiters abort
@@ -239,52 +235,33 @@ class Cluster {
 
   // ---- Completion bookkeeping (feeds GC condition (b) of §4.5 and the §4.7 switch wait) ----
 
-  // Records that `instance_id`'s Init record landed at `init_seqnum` on the global init
-  // stream. Called by InitSsf at init-append time (idempotent across replays: the first
-  // registration wins, and peers recovering the same init record register the same seqnum).
-  // This feeds the incremental frontier: the set of *unfinished* init seqnums is maintained
-  // here and shrunk in MarkInstanceFinished, so RunningFrontier() is O(1).
-  void RegisterInitRecord(const std::string& instance_id, sharedlog::SeqNum init_seqnum);
+  // Records that an init record landed at `init_seqnum` on the global init stream; it holds
+  // the frontier until released. Called by InitSsf at init-append time and idempotent:
+  // replays and peers recover the same init record, hence register the same seqnum.
+  void RegisterInitRecord(sharedlog::SeqNum init_seqnum) { running_inits_.insert(init_seqnum); }
 
-  // Marks an invocation (instance ID) as fully finished: result delivered and no live peers.
-  // Feeds the running-SSF frontier used by GC and switching.
-  void MarkInstanceFinished(const std::string& instance_id);
+  // Releases an init record once its whole workflow has drained.
+  void ReleaseInitRecord(sharedlog::SeqNum init_seqnum) { running_inits_.erase(init_seqnum); }
 
-  bool IsInstanceFinished(const std::string& instance_id) const {
-    return finished_instances_.count(instance_id) > 0;
-  }
+  // Init records of running workflows: the completion bookkeeping's whole footprint.
+  size_t live_tracking_entries() const { return running_inits_.size(); }
 
-  // Drops tracking state (finished marker + init seqnum) of every finished instance whose
-  // init record lies strictly below the frontier: nothing can query it anymore — the GC trims
-  // its init record in the same pass, and no new attempt of a finished workflow is ever
-  // started. Called by the GC scan; keeps completion bookkeeping bounded by the set of
-  // instances that started or finished since the previous scan instead of growing forever.
-  void PruneFinishedTracking();
-
-  // Instances currently tracked by the completion bookkeeping (unfinished + finished but not
-  // yet pruned). Tests assert this stays bounded under churn.
-  size_t live_tracking_entries() const {
-    return init_seqnums_.size() + finished_instances_.size();
-  }
-
-  // Queues an instance's step log for trimming. Called only once the instance's *workflow
-  // root* has finished, because a crashed parent may still replay through its callees' logs.
-  void EnqueueStepLogTrim(const std::string& instance_id) {
-    trim_queue_.push_back(instance_id);
-  }
+  // Queues a step log for trimming. Called only once its workflow has drained, because a
+  // crashed parent may still replay through its callees' logs.
+  void EnqueueStepLogTrim(sharedlog::TagId step_tag) { trim_queue_.push_back(step_tag); }
 
   // Drains the step-log trim queue (one GC scan's worth of work).
-  std::vector<std::string> DrainStepLogTrimQueue() {
-    std::vector<std::string> out;
+  std::vector<sharedlog::TagId> DrainStepLogTrimQueue() {
+    std::vector<sharedlog::TagId> out;
     out.swap(trim_queue_);
     return out;
   }
 
   // The GC/switch frontier: the largest seqnum t such that every SSF whose init record has
-  // seqnum < t has finished (§4.7). O(1): the smallest unfinished init seqnum is maintained
-  // incrementally at init-append and instance-finish time instead of scanning the init stream.
+  // seqnum < t has finished (§4.7). O(1): the smallest running init seqnum is maintained
+  // incrementally at init-append and workflow-drain time instead of scanning the init stream.
   sharedlog::SeqNum RunningFrontier() const {
-    return unfinished_inits_.empty() ? log_space_.next_seqnum() : *unfinished_inits_.begin();
+    return running_inits_.empty() ? log_space_.next_seqnum() : *running_inits_.begin();
   }
 
   // Number of index-propagation wake-up events that performed an advance, and the number of
@@ -327,8 +304,8 @@ class Cluster {
   std::unique_ptr<storage::CheckpointStore> log_ckpt_;
   std::unique_ptr<storage::CheckpointStore> kv_ckpt_;
   std::unique_ptr<storage::CheckpointService> ckpt_service_;
-  sharedlog::LogRecoveryStats last_log_recovery_;
-  sharedlog::LogRecoveryStats last_kv_recovery_;
+  storage::RecoveryStats last_log_recovery_;
+  storage::RecoveryStats last_kv_recovery_;
 
   std::vector<std::unique_ptr<FunctionNode>> nodes_;
   size_t next_node_ = 0;
@@ -347,15 +324,8 @@ class Cluster {
 
   FailureInjector injector_;
 
-  // Completion bookkeeping. All four containers are pruned together in
-  // PruneFinishedTracking once the frontier passes an instance's init record.
-  std::unordered_set<std::string> finished_instances_;
-  std::unordered_map<std::string, sharedlog::SeqNum> init_seqnums_;
-  std::set<sharedlog::SeqNum> unfinished_inits_;  // Ordered: begin() is the frontier bound.
-  // Finished instances awaiting prune, keyed by init seqnum (0 = no init record tracked).
-  std::multimap<sharedlog::SeqNum, std::string> finished_by_init_;
-
-  std::vector<std::string> trim_queue_;
+  std::set<sharedlog::SeqNum> running_inits_;  // Ordered: begin() is the frontier bound.
+  std::vector<sharedlog::TagId> trim_queue_;
 
   // Pending index-propagation arrivals (arrival time, committed seqnum), strictly increasing
   // in both fields. Commits enter in seqnum order; an older commit whose sampled arrival is

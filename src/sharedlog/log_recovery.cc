@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/storage/checkpoint.h"
-#include "src/storage/durability.h"
 
 namespace halfmoon::sharedlog {
 
@@ -89,41 +87,23 @@ void InstallImageFrame(SimTime now, LogSpace* log, storage::FrameType type,
 
 }  // namespace
 
-LogRecoveryStats RestoreLogFromJournal(SimTime now, LogSpace* log,
-                                       const storage::DurabilityService* journal,
-                                       const storage::CheckpointStore* ckpt) {
-  LogRecoveryStats stats;
+storage::RecoveryStats RestoreLogFromJournal(SimTime now, LogSpace* log,
+                                             const storage::DurabilityService* journal,
+                                             const storage::CheckpointStore* ckpt) {
   log->ResetVolatile(now);
-
-  storage::InstalledManifest manifest;
-  bool have_image =
-      ckpt != nullptr && storage::FindLatestValidManifest(*ckpt, storage::kCkptLogDomain,
-                                                          &manifest, &stats.manifests_rejected);
-  if (have_image) {
-    stats.used_checkpoint = true;
-    storage::ReplayImage(*ckpt, manifest,
-                         [&](storage::FrameType type, storage::Cursor cursor) {
-                           InstallImageFrame(now, log, type, cursor);
-                           ++stats.image_frames;
-                         });
-    journal->Replay(manifest.manifest.cut,
-                    [&](storage::FrameType type, storage::Cursor cursor) {
-                      ReplayJournalFrame(now, log, /*fuzzy=*/true, type, cursor);
-                      ++stats.suffix_frames;
-                    });
-    log->EnsureWatermark(manifest.manifest.watermark_floor);
-  } else {
-    // Full replay is only sound while every journaled frame survives: once the prefix was
-    // truncated, the image it was traded for is the ONLY copy of that history.
-    HM_CHECK_MSG(journal->retained_offset() == 0,
-                 "log journal was compacted but no valid checkpoint manifest exists");
-    journal->Replay([&](storage::FrameType type, storage::Cursor cursor) {
-      ReplayJournalFrame(now, log, /*fuzzy=*/false, type, cursor);
-      ++stats.suffix_frames;
-    });
-  }
+  storage::RecoveryStats stats = storage::RecoverFromJournal(
+      *journal, ckpt, storage::kCkptLogDomain,
+      "log journal was compacted but no valid checkpoint manifest exists",
+      [&](storage::FrameType type, storage::Cursor cursor) {
+        InstallImageFrame(now, log, type, cursor);
+      },
+      [&](storage::FrameType type, storage::Cursor cursor, bool fuzzy) {
+        ReplayJournalFrame(now, log, fuzzy, type, cursor);
+      });
   // Truncation (or trims) can erase the highest durable records; the allocator must still
-  // never re-issue their seqnums.
+  // never re-issue their seqnums. Both floors are monotonic maxima, so where they are applied
+  // relative to the replay does not matter.
+  log->EnsureWatermark(stats.watermark_floor);
   log->EnsureWatermark(journal->durable_seq());
   return stats;
 }

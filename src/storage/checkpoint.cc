@@ -114,6 +114,34 @@ void ReplayImage(const CheckpointStore& store, const InstalledManifest& m,
   HM_CHECK_MSG(tiled, "validated checkpoint image no longer tiles its span");
 }
 
+RecoveryStats RecoverFromJournal(const DurabilityService& journal, const CheckpointStore* ckpt,
+                                 uint8_t domain, const char* compacted_message,
+                                 const std::function<void(FrameType, Cursor)>& install,
+                                 const std::function<void(FrameType, Cursor, bool)>& replay) {
+  RecoveryStats stats;
+  InstalledManifest manifest;
+  if (ckpt != nullptr &&
+      FindLatestValidManifest(*ckpt, domain, &manifest, &stats.manifests_rejected)) {
+    stats.used_checkpoint = true;
+    stats.watermark_floor = manifest.manifest.watermark_floor;
+    ReplayImage(*ckpt, manifest, [&](FrameType type, Cursor cursor) {
+      install(type, cursor);
+      ++stats.image_frames;
+    });
+    journal.Replay(manifest.manifest.cut, [&](FrameType type, Cursor cursor) {
+      replay(type, cursor, /*fuzzy=*/true);
+      ++stats.suffix_frames;
+    });
+  } else {
+    HM_CHECK_MSG(journal.retained_offset() == 0, compacted_message);
+    journal.Replay([&](FrameType type, Cursor cursor) {
+      replay(type, cursor, /*fuzzy=*/false);
+      ++stats.suffix_frames;
+    });
+  }
+  return stats;
+}
+
 bool CheckpointService::TriggerRound() {
   if (inflight_ || targets_.empty()) return false;
   inflight_ = true;

@@ -114,6 +114,29 @@ bool FindLatestValidManifest(const CheckpointStore& store, uint8_t domain,
 void ReplayImage(const CheckpointStore& store, const InstalledManifest& m,
                  const std::function<void(FrameType, Cursor)>& fn);
 
+// What a restart actually did in one domain — tests and the check.sh smoke assert the
+// replay-suffix path is really taken (used_checkpoint) instead of silently falling back to
+// full replay.
+struct RecoveryStats {
+  bool used_checkpoint = false;
+  int64_t image_frames = 0;      // State frames installed from the checkpoint image.
+  int64_t suffix_frames = 0;     // Journal frames replayed (the suffix, or the whole prefix).
+  int manifests_rejected = 0;    // Torn/corrupt newer manifests skipped by validation.
+  uint64_t watermark_floor = 0;  // The installed manifest's floor; 0 on full replay.
+};
+
+// The restart driver both journaled domains share (DESIGN.md §13, §14). With a valid
+// `domain` manifest in `ckpt` (which may be null): install its image through `install`, then
+// replay the journal frames at or above its cut through `replay(type, cursor, /*fuzzy=*/
+// true)` — the image may already reflect any prefix of them. Otherwise a strict full replay
+// (`fuzzy` false), which is only sound while every journaled frame survives: it aborts with
+// `compacted_message` once the prefix below retained_offset() is gone, since the image it was
+// traded for is the ONLY copy of that history.
+RecoveryStats RecoverFromJournal(const DurabilityService& journal, const CheckpointStore* ckpt,
+                                 uint8_t domain, const char* compacted_message,
+                                 const std::function<void(FrameType, Cursor)>& install,
+                                 const std::function<void(FrameType, Cursor, bool)>& replay);
+
 // The background checkpoint daemon. One round walks every registered target: snapshot the
 // journal cut, emit the live-state image in bounded slices (yielding between slices so
 // foreground traffic keeps acking — the image is fuzzy), wait for the journal to cover the

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/core/gc_service.h"
+#include "src/core/switch_manager.h"
 #include "tests/testing/test_world.h"
 
 namespace halfmoon {
@@ -199,6 +202,85 @@ TEST(GcTest, PeriodicLoopRunsOnSchedule) {
   gc.Stop();
   EXPECT_EQ(gc.stats().scans, 3);
   EXPECT_EQ(world.cluster().kv_state().VersionCount(world.ObjectIdFor("k")), 1u);
+}
+
+TEST(GcTest, ChildInitRecordsReleaseTheFrontierWhenTheirWorkflowDrains) {
+  // With cursor inheritance off (bench_ablation section B) every child appends an init record
+  // of its own. A drained workflow must release all of them, not only the root's: a child's
+  // record left behind pins the frontier, so GC stops at it and every later switch waits
+  // forever.
+  runtime::Cluster cluster(testing::ClusterConfigFromEnv());
+  core::RuntimeConfig config;
+  config.inherit_child_cursor = false;
+  core::SsfRuntime runtime(&cluster, config);
+  runtime.RegisterFunction("child", [](core::SsfContext& ctx) -> sim::Task<Value> {
+    co_await ctx.Write("k", ctx.input());
+    co_return "";
+  });
+  runtime.RegisterFunction("parent", [](core::SsfContext& ctx) -> sim::Task<Value> {
+    co_return co_await ctx.Invoke("child", ctx.input());
+  });
+  for (int i = 0; i < 3; ++i) {
+    cluster.scheduler().Spawn(
+        [](core::SsfRuntime* rt, int n) -> sim::Task<void> {
+          co_await rt->InvokeSsf("parent", "v" + std::to_string(n));
+        }(&runtime, i));
+    cluster.scheduler().Run();
+  }
+
+  GcService gc(&cluster, Seconds(10));
+  gc.RunOnce();
+  EXPECT_EQ(cluster.RunningFrontier(), cluster.log_space().next_seqnum());
+  EXPECT_EQ(cluster.live_tracking_entries(), 0u);
+  EXPECT_EQ(gc.stats().init_records_trimmed, 6);  // Three roots and three children.
+  EXPECT_TRUE(cluster.log_space().ReadStream(sharedlog::kInitTagId).empty());
+
+  core::SwitchManager switcher(&cluster, runtime.config().switch_scope);
+  bool switched = false;
+  cluster.scheduler().Spawn(
+      [](core::SwitchManager* sm, bool* done) -> sim::Task<void> {
+        co_await sm->SwitchTo(ProtocolKind::kHalfmoonWrite);
+        *done = true;
+      }(&switcher, &switched));
+  // Bounded: a pinned frontier makes the switch poll forever instead of failing.
+  cluster.scheduler().RunUntil(cluster.scheduler().Now() + Seconds(1));
+  EXPECT_TRUE(switched);
+}
+
+TEST(GcTest, DuplicatePeerHoldsTheFrontierPastTheRootsResult) {
+  // The root's result reaches its caller while a duplicate peer of the root is still running.
+  // The peer may still read, so the root's init record keeps holding the frontier — and GC
+  // keeps the workflow's records — until the peer ends too.
+  TestWorld world(HmRead());
+  world.Register("slow", [](core::SsfContext& ctx) -> sim::Task<Value> {
+    for (int i = 0; i < 400; ++i) co_await ctx.Compute();  // ~20 ms of local compute.
+    co_return "";
+  });
+  runtime::Cluster& cluster = world.cluster();
+  cluster.failure_injector().SpawnPeerAfterHit(-1);  // Races the root's first attempt.
+  bool done = false;
+  world.CallAsync("slow", "", nullptr, &done);
+  while (!done) world.scheduler().RunUntil(world.scheduler().Now() + Microseconds(100));
+
+  // The peer launched (its attempt is counted) and has not finished yet.
+  ASSERT_EQ(world.runtime().stats().peer_instances, 1);
+  ASSERT_EQ(world.runtime().stats().attempts, 2);
+  std::vector<sharedlog::LogRecordPtr> inits =
+      cluster.log_space().ReadStream(sharedlog::kInitTagId);
+  ASSERT_EQ(inits.size(), 1u);
+  EXPECT_EQ(cluster.RunningFrontier(), inits[0]->seqnum);
+  EXPECT_EQ(cluster.live_tracking_entries(), 1u);
+  GcService gc(&cluster, Seconds(10));
+  gc.RunOnce();
+  EXPECT_EQ(gc.stats().init_records_trimmed, 0);
+  EXPECT_EQ(gc.stats().step_logs_trimmed, 0);
+
+  // The peer ends: the workflow drains and releases everything.
+  world.scheduler().Run();
+  EXPECT_EQ(cluster.RunningFrontier(), cluster.log_space().next_seqnum());
+  gc.RunOnce();
+  EXPECT_EQ(gc.stats().init_records_trimmed, 1);
+  EXPECT_EQ(gc.stats().step_logs_trimmed, 1);
 }
 
 }  // namespace

@@ -75,23 +75,23 @@ TEST(ClusterTest, RunningFrontierTracksInitStream) {
 
   // The frontier is maintained incrementally: the runtime registers every init record as it
   // is logged (InitSsf does this), so the cluster never rescans the init stream.
-  cluster.RegisterInitRecord("A", a);
-  cluster.RegisterInitRecord("B", b);
+  cluster.RegisterInitRecord(a);
+  cluster.RegisterInitRecord(b);
 
   // Both running: the frontier stops at A's init.
   EXPECT_EQ(cluster.RunningFrontier(), a);
-  cluster.MarkInstanceFinished("A");
+  cluster.ReleaseInitRecord(a);
   // A finished, B still running: frontier moves to B's init.
   EXPECT_EQ(cluster.RunningFrontier(), b);
-  cluster.MarkInstanceFinished("B");
+  cluster.ReleaseInitRecord(b);
   EXPECT_EQ(cluster.RunningFrontier(), cluster.log_space().next_seqnum());
 }
 
 TEST(ClusterTest, StepLogTrimQueueDrains) {
   Cluster cluster(testing::ClusterConfigFromEnv());
-  cluster.EnqueueStepLogTrim("a");
-  cluster.EnqueueStepLogTrim("b");
-  std::vector<std::string> drained = cluster.DrainStepLogTrimQueue();
+  cluster.EnqueueStepLogTrim(cluster.log_space().tags().Intern("a"));
+  cluster.EnqueueStepLogTrim(cluster.log_space().tags().Intern("b"));
+  std::vector<sharedlog::TagId> drained = cluster.DrainStepLogTrimQueue();
   EXPECT_EQ(drained.size(), 2u);
   EXPECT_TRUE(cluster.DrainStepLogTrimQueue().empty());
 }

@@ -83,8 +83,8 @@ void CheckpointOnce(Cluster& cluster) {
 }
 
 void PrintRecovery(const char* what, const Cluster& cluster) {
-  const sharedlog::LogRecoveryStats& log = cluster.last_log_recovery();
-  const sharedlog::LogRecoveryStats& kv = cluster.last_kv_recovery();
+  const storage::RecoveryStats& log = cluster.last_log_recovery();
+  const storage::RecoveryStats& kv = cluster.last_kv_recovery();
   std::printf(
       "[checkpoint] recovery: %s log mode=%s image_frames=%lld suffix_frames=%lld "
       "rejected=%d | kv mode=%s image_frames=%lld suffix_frames=%lld\n",
